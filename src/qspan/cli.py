@@ -11,8 +11,10 @@ ed            exact-diagonalization rank curves and projection errors
 Every verb reads a flat INI config (`--config`), writes CSV or JSON
 (`--out`, `--format`), and is deterministic for a fixed config and seed:
 floats are emitted with shortest round-trip repr, rows are sorted by their
-key columns, and the schema line is versioned. Exit codes: 0 success,
-2 config error, 3 numerical-accuracy failure.
+key columns, and the schema line is versioned. `ising` computes its (L,
+alpha) cells one after another from a single f table up to the window
+length; `--threads` is accepted by every verb and changes no verb's work.
+Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -305,10 +306,7 @@ def cmd_ising(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
         _write_table(_sibling(out, "f"), fmt, "ising-f",
                      ("t", "re_f", "im_f"), f_rows, meta=meta)
 
-    cells = [(L, alpha) for L in l_list for alpha in alphas]
-
-    def run_cell(cell):
-        L, alpha = cell
+    def run_cell(L, alpha):
         if no_quench:
             # f == 0: no relaxation, every moment stays 1; entropies are
             # undefined and emitted as the nan sentinel
@@ -321,12 +319,8 @@ def cmd_ising(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
         moment = math.exp((1 - alpha) * est.value)
         return (L, alpha, moment, est.value, est.error, pred, pred_corr)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    # serial: every cell reads the one f table up to t
+    rows = [run_cell(L, alpha) for L in l_list for alpha in sorted(alphas)]
     _write_table(out, fmt, "ising",
                  ("L", "alpha", "moment", "S_quadrature", "S_error",
                   "S_prediction", "S_prediction_corrected"),

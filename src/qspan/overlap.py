@@ -11,12 +11,11 @@ so the moments become low-dimensional integrals over the window,
     tr[rho_bar^alpha] = Re int_{[0,t]^alpha} d^alpha tau / t^alpha
                         exp(-L^d sum_cyclic f(tau_j - tau_{j+1})).
 
-Translation invariance removes one integration variable exactly: with
-u_j = tau_j - tau_{j+1} the free variable contributes the chord length
-V(u) = t - (max(P,0) - min(P,0)), P_j = sum_{n>=j} u_n, leaving an
-(alpha-1)-dimensional integral evaluated either on a tensor Gauss-Legendre
-grid whose panel width tracks the Gaussian scale 1/sqrt(L^d e2), or by
-stratified antithetic Monte Carlo with a Gaussian importance proposal.
+Rather than integrating over the window, `moments_quadrature` takes the
+spectrum of rho_bar itself: its nonzero eigenvalues are those of the Gram
+kernel exp(-L^d f(tau - tau'))/t on [0, t], discretized on Gauss-Legendre
+nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
+[0, t] and converges exponentially in the node count.
 
 For the transverse-field Ising chain after a field quench h_i -> h_f the
 free energy is available in closed form as a single mode integral, which is
@@ -27,13 +26,14 @@ the integral, dropping exponentially small finite-size effects).
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import ndtri
 
 from .errors import AccuracyError, DomainError
 
@@ -194,6 +194,7 @@ class DynamicalFreeEnergy:
         self._eval_many = eval_many
         self.metadata = dict(metadata)
         self._tables: dict = {}
+        self._tables_lock = threading.Lock()
 
     @classmethod
     def from_cumulants(cls, e) -> "DynamicalFreeEnergy":
@@ -265,17 +266,19 @@ class DynamicalFreeEnergy:
         """Cached spline of f on [0, u_max] for fast bulk evaluation.
 
         Resolution is fixed per unit time, so a wider cached table serves
-        any narrower request of equal or lower density.
+        any narrower request of equal or lower density. Concurrent callers
+        build each table once.
         """
-        for (cached_umax, cached_ppu), spline in self._tables.items():
-            if cached_umax >= u_max * (1 - 1e-12) \
-                    and cached_ppu >= 0.9 * points_per_unit:
-                return spline
-        n = max(129, int(math.ceil(points_per_unit * u_max)) + 1)
-        grid = np.linspace(0.0, u_max, n)
-        spline = CubicSpline(grid, self._eval_many(grid))
-        self._tables[(u_max, points_per_unit)] = spline
-        return spline
+        with self._tables_lock:
+            for (cached_umax, cached_ppu), spline in self._tables.items():
+                if cached_umax >= u_max * (1 - 1e-12) \
+                        and cached_ppu >= 0.9 * points_per_unit:
+                    return spline
+            n = max(129, int(math.ceil(points_per_unit * u_max)) + 1)
+            grid = np.linspace(0.0, u_max, n)
+            spline = CubicSpline(grid, self._eval_many(grid))
+            self._tables[(u_max, points_per_unit)] = spline
+            return spline
 
 
 def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
@@ -307,129 +310,37 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # Moment quadrature
 # ---------------------------------------------------------------------------
 
-def _partial_sum_spread(us: list[np.ndarray]):
-    """max(P,0) - min(P,0) over suffix sums P_j of the difference variables."""
-    suffix = us[-1]
-    hi = np.maximum(suffix, 0.0)
-    lo = np.minimum(suffix, 0.0)
-    for u in reversed(us[:-1]):
-        suffix = u + suffix
-        hi = np.maximum(hi, suffix)
-        lo = np.minimum(lo, suffix)
-    return hi - lo, suffix  # suffix is now P_1 = sum of all u_j
-
-
 def _rough_e2(f: DynamicalFreeEnergy, t: float) -> float:
     h = 1e-3 * t
     val = 2.0 * (f(h)).real / (h * h)
     return max(val, 1e-12)
 
 
-_PANEL_CAP = {2: 2000, 3: 220, 4: 20}  # per axis; bounds the tensor size
+_M_START = 32       # first Nystrom node count
+_M_CAP = 2048       # eigvalsh of the cap takes seconds
+_SETTLE = 1e-11     # relative change from m/2 to m that ends the doubling
+_ROUNDOFF = 1e-12   # relative floor; leggauss(2048) weights alone err by 2e-13
 
 
-def _gl_axis(t: float, sigma: float, n_gl: int, alpha: int):
-    """Composite Gauss-Legendre nodes/weights on [-t, t], panels ~ sigma."""
-    panels_half = max(6, min(_PANEL_CAP[alpha], math.ceil(1.6 * t / sigma)))
-    edges = np.linspace(-t, t, 2 * panels_half + 1)
-    x, w = np.polynomial.legendre.leggauss(n_gl)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+@lru_cache(maxsize=8)   # m runs over the powers of two up to _M_CAP
+def _unit_gauss_legendre(m: int):
+    """Read-only Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
-def _grid_moment(f, sites, t, alpha, n_gl):
-    sigma = 1.0 / math.sqrt(sites * _rough_e2(f, t))
-    nodes, weights = _gl_axis(t, sigma, n_gl, alpha)
-    spline = f.table((alpha - 1) * t * (1.0 + 1e-9))
-    fd = spline(np.abs(nodes))
-    fd = np.where(nodes >= 0, fd, np.conj(fd))
-
-    if alpha == 2:
-        spread = np.abs(nodes)
-        vol = np.maximum(t - spread, 0.0)
-        total = np.sum(weights * vol * np.exp(-sites * 2.0 * fd.real
-                                              + 0j))
-        imag = 0.0
-        real = float(np.real(total))
-    else:
-        total = 0.0 + 0.0j
-        n = nodes.size
-        chunk = max(1, 4_000_000 // (n * n)) if alpha == 4 else n
-        for i0 in range(0, n, chunk):
-            sl = slice(i0, i0 + chunk)
-            if alpha == 3:
-                u1 = nodes[sl][:, None]
-                u2 = nodes[None, :]
-                s1 = u1 + u2
-                spread, _ = _partial_sum_spread([u1 + 0 * u2, 0 * u1 + u2])
-                expo = fd[sl][:, None] + fd[None, :]
-                wprod = weights[sl][:, None] * weights[None, :]
-            else:
-                u1 = nodes[sl][:, None, None]
-                u2 = nodes[None, :, None]
-                u3 = nodes[None, None, :]
-                s1 = u1 + u2 + u3
-                spread, _ = _partial_sum_spread(
-                    [u1 + 0 * u2 + 0 * u3, u2 + 0 * u1 + 0 * u3,
-                     u3 + 0 * u1 + 0 * u2])
-                expo = (fd[sl][:, None, None] + fd[None, :, None]
-                        + fd[None, None, :])
-                wprod = (weights[sl][:, None, None] * weights[None, :, None]
-                         * weights[None, None, :])
-            back = spline(np.abs(s1))
-            back = np.where(s1 <= 0, back, np.conj(back))  # f(-s1)
-            vol = np.maximum(t - spread, 0.0)
-            total += np.sum(wprod * vol * np.exp(-sites * (expo + back)))
-        real = float(total.real)
-        imag = float(total.imag)
-    if abs(imag) > 1e-8 * max(abs(real), 1e-300):
-        raise AccuracyError("imaginary part of the moment integrand "
-                            "failed to cancel", value=real, achieved=abs(imag))
-    return real / t ** alpha
-
-
-def _mc_moment(f, sites, t, alpha, seed, n_samples):
-    dim = alpha - 1
-    e2 = _rough_e2(f, t)
-    prec = sites * e2 * (np.eye(dim) + np.ones((dim, dim)))
-    cov = np.linalg.inv(prec) * 1.3 ** 2
-    chol = np.linalg.cholesky(cov)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    spline = f.table((alpha - 1) * t * (1.0 + 1e-9))
-    rng = np.random.Generator(np.random.Philox(
-        key=np.uint64((int(seed) & 0xFFFFFFFF) << 16 | (alpha << 4) | dim)))
-
-    n_batches = 32
-    per_batch = max(256, n_samples // n_batches // 2)  # antithetic pairs
-    batch_means = np.empty(n_batches)
-    for b in range(n_batches):
-        # Latin-hypercube uniforms per dimension, then Gaussian transport
-        u = (rng.permuted(np.tile(np.arange(per_batch), (dim, 1)), axis=1).T
-             + rng.random((per_batch, dim))) / per_batch
-        z = ndtri(np.clip(u, 1e-15, 1 - 1e-15))
-        y = z @ chol.T
-        vals = np.empty(2 * per_batch)
-        for half, pts in enumerate((y, -y)):
-            fd = spline(np.abs(pts))
-            fd = np.where(pts >= 0, fd, np.conj(fd))
-            expo = fd.sum(axis=1)
-            s1 = pts.sum(axis=1)
-            back = spline(np.abs(s1))
-            back = np.where(s1 <= 0, back, np.conj(back))
-            spread, _ = _partial_sum_spread([pts[:, j] for j in range(dim)])
-            vol = np.maximum(t - spread, 0.0)
-            quad = 0.5 * np.einsum("ij,jk,ik->i", pts,
-                                   np.linalg.inv(cov), pts)
-            log_q = -quad - 0.5 * dim * math.log(2 * math.pi) - 0.5 * log_det
-            vals[half * per_batch:(half + 1) * per_batch] = \
-                vol * np.exp(-sites * (expo + back) - log_q).real
-        batch_means[b] = vals.mean()
-    value = float(batch_means.mean()) / t ** alpha
-    stderr = float(batch_means.std(ddof=1) / math.sqrt(n_batches)) / t ** alpha
-    return value, stderr
+def _window_spectrum(spline, sites: float, t: float, m: int) -> np.ndarray:
+    """Eigenvalues of the m-node Nystrom Gram kernel of rho_bar."""
+    x, w = _unit_gauss_legendre(m)
+    lag = t * (x[:, None] - x[None, :])
+    fd = spline(np.abs(lag))
+    fd = np.where(lag >= 0, fd, np.conj(fd))
+    root_w = np.sqrt(w)
+    kernel = root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
+    return np.clip(np.linalg.eigvalsh(kernel), 0.0, None)
 
 
 def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
@@ -438,32 +349,45 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
                        n_gl: int = 8, n_samples: int = 400_000) -> MomentEstimate:
     """Finite-volume moment tr[rho_bar^alpha] from the free energy f.
 
-    The alpha-fold window integral is reduced to alpha-1 dimensions using
-    translation invariance (exact chord-length factor), then integrated on
-    a tensor Gauss-Legendre grid (`grid`, default for alpha = 2, 3) or by
-    stratified antithetic Monte Carlo with a Gaussian importance proposal
-    (`mc`, default for alpha = 4). Deterministic for fixed inputs and seed.
+    The nonzero spectrum of rho_bar is that of the Hermitian Gram kernel
+    K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
+    nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
+    for this analytic kernel), so the moment is sum_i lambda_i^alpha from one
+    `eigvalsh`, with f needed on [0, t] only (`f.table(t)`). m starts at 32,
+    doubles until it reaches sqrt(L^d e2) t, then doubles until the moment
+    changes by at most 1e-11 relative from m/2 to m, or m reaches 2048.
+    `error` is that last change plus a round-off floor of 1e-12 relative.
+
+    `scheme` must be "auto", "grid" or "mc"; it, `seed`, `n_gl` and
+    `n_samples` are accepted for compatibility and change nothing.
     Raises AccuracyError if `rtol` is given and not met.
     """
     if alpha not in (2, 3, 4):
         raise DomainError("alpha must be one of 2, 3, 4")
     if t <= 0:
         raise DomainError("t must be positive")
-    if scheme == "auto":
-        scheme = "grid" if alpha <= 3 else "mc"
-    if scheme not in ("grid", "mc"):
+    if scheme not in ("auto", "grid", "mc"):
         raise DomainError(f"unknown scheme {scheme!r}")
     sites = float(L) ** d
+    spline = f.table(t)
 
-    if scheme == "grid":
-        value = _grid_moment(f, sites, t, alpha, n_gl)
-        check = _grid_moment(f, sites, t, alpha, n_gl - 3)
-        err = abs(value - check) + 1e-13 * abs(value)
-    else:
-        value, err = _mc_moment(f, sites, t, alpha, seed, n_samples)
+    def moment(m: int) -> float:
+        return float(np.sum(_window_spectrum(spline, sites, t, m) ** alpha))
 
-    if value > 1.0 and value - 1.0 < 1e-9:
-        value = 1.0
+    width = math.sqrt(sites * _rough_e2(f, t)) * t
+    m = _M_START
+    while m < width and 2 * m < _M_CAP:
+        m *= 2
+    value = moment(m)
+    while True:
+        m *= 2
+        prev, value = value, moment(m)
+        settle = abs(value - prev)
+        if settle <= _SETTLE * value or m >= _M_CAP:
+            break
+
+    value = min(value, 1.0)
+    err = settle + _ROUNDOFF * value
     if rtol is not None and err > rtol * abs(value):
         raise AccuracyError(
             f"moment accuracy {err / max(abs(value), 1e-300):.2e} "

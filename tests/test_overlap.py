@@ -1,8 +1,11 @@
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qspan.asymptotics import CumulantSeries, moment_asymptotic, moment_with_correction
 from qspan.errors import AccuracyError, DomainError
@@ -138,6 +141,33 @@ class TestDynamicalFreeEnergy:
         s2 = f.table(0.5)   # covered by the wider table
         assert s1 is s2
 
+    def test_table_built_once_under_concurrent_callers(self):
+        base = DynamicalFreeEnergy.from_cumulants([0.0, 1.0])
+        builds = []
+        start = threading.Barrier(2, timeout=10)
+
+        def slow_eval(ts):
+            builds.append(len(ts))
+            time.sleep(0.2)   # hold the build open while the other caller asks
+            return base(ts)
+
+        f = DynamicalFreeEnergy("tabulated", slow_eval, {})
+        got = [None, None]
+
+        def request(i):
+            start.wait()
+            got[i] = f.table(1.0)
+
+        workers = [threading.Thread(target=request, args=(i,))
+                   for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+            assert not w.is_alive()
+        assert len(builds) == 1
+        assert got[0] is got[1] is not None
+
 
 class TestSecondCumulant:
     def test_polynomial_exact(self):
@@ -172,6 +202,8 @@ class TestMomentsQuadrature:
                     est = moments_quadrature(f, L, 1, t, 2)
                     ref = closed_form_m2(e2, t, L)
                     assert abs(est.value - ref) / ref < 1e-8
+                    # the reported error bounds the true error
+                    assert abs(est.value - ref) <= est.error
 
     def test_moment_in_unit_interval(self, strong_quench_f):
         est = moments_quadrature(strong_quench_f, 50, 1, 0.4, 2)
@@ -229,8 +261,44 @@ class TestMomentsQuadrature:
     def test_accuracy_error(self):
         f = DynamicalFreeEnergy.from_cumulants([0.0, 1.0])
         with pytest.raises(AccuracyError) as err:
-            moments_quadrature(f, 100, 1, 1.0, 3, scheme="mc", rtol=1e-12)
+            moments_quadrature(f, 100, 1, 1.0, 3, scheme="mc", rtol=1e-16)
         assert err.value.achieved > 0
+
+    def test_weak_quench_moments_ordered(self):
+        # barely relaxing quench: the state hardly leaves its initial
+        # direction within the window, every moment sits just below 1
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=1.5, h_f=1.45, k_grid=512))
+        entropies = []
+        for alpha in (2, 3, 4):
+            est = moments_quadrature(f, 100, 1, 0.2, alpha)
+            assert math.isfinite(est.value) and 0.0 < est.value <= 1.0
+            entropies.append(math.log(est.value) / (1 - alpha))
+        assert entropies[0] > entropies[1] > entropies[2]
+
+    def test_revival_against_chord_length_integral(self):
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=math.inf, h_f=2.9, k_grid=512))
+        L, t = 200, 0.57
+        for alpha in (2, 3):
+            g = moments_quadrature(f, L, 1, t, alpha, scheme="grid")
+            m = moments_quadrature(f, L, 1, t, alpha, scheme="mc", seed=4)
+            assert g == m
+        # tr rho_bar^2 = int_{-t}^{t} (t - |u|) |<Psi_u|Psi_0>|^2 du / t^2
+        ref, ref_err = integrate.quad(
+            lambda u: 2.0 * (t - u) * math.exp(-2.0 * L * f(u).real),
+            0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
+        est = moments_quadrature(f, L, 1, t, 2)
+        assert abs(est.value - ref / t ** 2) <= est.error + ref_err / t ** 2
+
+    def test_table_up_to_window_serves_alpha4(self):
+        base = DynamicalFreeEnergy.from_cumulants([0.1, 1.0, 0.0, 0.2])
+        t = 0.8
+        ts = np.linspace(0.0, t, 801)
+        tab = DynamicalFreeEnergy.from_table(ts, base(ts))
+        got = moments_quadrature(tab, 100, 1, t, 4)
+        ref = moments_quadrature(base, 100, 1, t, 4)
+        assert got.value == pytest.approx(ref.value, rel=1e-8)
 
     def test_domain(self):
         f = DynamicalFreeEnergy.from_cumulants([0.0, 1.0])
