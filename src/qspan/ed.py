@@ -1,15 +1,23 @@
 """Dense exact diagonalization of small spin-1/2 chains.
 
 Builds Hamiltonians from weighted Pauli strings, diagonalizes them fully
-(the spectral form of the time average needs every eigenpair), and
-implements the finite-size protocols: the time-averaged state
+(real arithmetic when the matrix is real), and implements the finite-size
+protocols: the time-averaged state
 
-    rho_bar(t0, t)_{mn} = c_m conj(c_n) e^{-i(E_m - E_n) t0} K(E_m - E_n),
-    K(D) = int_0^t w(s) e^{-i D s} ds   (uniform: (e^{-iDt} - 1)/(-iDt)),
+    rho_bar(t0, t) = int_0^t w(s) |Psi_{t0+s}><Psi_{t0+s}| ds,
 
 its eigenvalue spectrum with low-probability truncation, the error made by
 projecting the evolving state onto the retained subspace, and the energy
 cumulants per site together with their spatial densities.
+
+The nonzero spectrum of rho_bar is that of the snapshot matrix
+Psi_{ni} = c_n e^{-i E_n (t0 + tau_i)} sqrt(omega_i) on m Gauss-Legendre
+nodes tau_i of the window (weights omega_i with the density folded in):
+eigvalsh of the m x m Gram matrix Psi^dag Psi gives the eigenvalues, a
+thin SVD of Psi the eigenvectors. Only when a uniform window needs m >= N
+nodes is the N x N energy-basis matrix c_m conj(c_n) e^{-i(E_m-E_n)t0}
+(e^{-iDt} - 1)/(-iDt), D = E_m - E_n, diagonalized instead; that form is
+exact at any t.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 
 from .asymptotics import WeightFunction
-from .errors import ConfigError, DomainError, SizeError
+from .errors import AccuracyError, ConfigError, DomainError, SizeError
 from .special import erf_inv
 
 __all__ = [
@@ -196,7 +205,9 @@ def spectral_decomposition(spec, psi0: np.ndarray,
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"initial state norm {norm} is not 1")
     psi0 = psi0 / norm
-    energies, basis = np.linalg.eigh(h)
+    # a real H (the bundled chaotic and integrable chains) is solved in
+    # real arithmetic
+    energies, basis = np.linalg.eigh(h if np.any(h.imag) else h.real)
     overlaps = basis.conj().T @ psi0
     L = int(round(math.log2(h.shape[0])))
     sd = SpectralDecomposition(energies=energies, overlaps=overlaps,
@@ -254,17 +265,30 @@ def first_overlap_crossing(sd: SpectralDecomposition, threshold: float = 0.5,
 
 @dataclass(frozen=True)
 class AveragedStateSpectrum:
-    """Eigenvalues of the averaged state, descending, with prefix sums."""
+    """Eigenvalues of the averaged state, descending, with prefix sums.
+
+    `eigenvalues` always has one entry per energy level (zeros past the
+    rank of the snapshot matrix); `vectors`, when requested, holds
+    energy-basis columns for the leading `vectors.shape[1]` of them.
+    `nodes` is the number of snapshots used, 0 for the closed form.
+    """
 
     eigenvalues: np.ndarray
     t0: float
     t: float
     cumulative: np.ndarray = field(repr=False)
     vectors: np.ndarray | None = field(default=None, repr=False)
+    nodes: int = 0
 
     @property
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues ** 2))
+
+
+_M_MIN = 32          # fewest snapshots of a window
+_PANEL_MIN = 8       # fewest snapshots of a weighted-window panel
+_SETTLE = 1e-12      # top eigenvalues at m and m/2 agree to this (absolute)
+_WEIGHTED_CAP = 8    # weighted windows stop doubling beyond this many N
 
 
 def _uniform_kernel(delta: np.ndarray, t: float) -> np.ndarray:
@@ -277,21 +301,49 @@ def _uniform_kernel(delta: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, taylor, out)
 
 
-def _weighted_kernel(delta: np.ndarray, t: float,
-                     w: WeightFunction) -> np.ndarray:
-    """K(D) = int_0^t w(s) e^{-iDs} ds by composite Gauss-Legendre."""
-    d_max = float(np.abs(delta).max())
-    panels = max(16, int(math.ceil(d_max * t / 3.0)))
-    edges = np.linspace(0.0, t, panels + 1)
-    x, wq = np.polynomial.legendre.leggauss(8)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * wq[None, :]).ravel()
-    dens = np.array([w.density(float(s)) for s in nodes])
-    flat = delta.ravel()
-    out = np.exp(-1j * np.outer(flat, nodes)) @ (weights * dens)
-    return out.reshape(delta.shape)
+def _closed_form(sd: SpectralDecomposition, t0: float, t: float,
+                 want_vectors: bool):
+    """Eigenpairs of the N x N energy-basis matrix of a uniform window."""
+    delta = sd.energies[:, None] - sd.energies[None, :]
+    kernel = _uniform_kernel(delta, t)
+    if t0 != 0.0:
+        kernel = kernel * np.exp(-1j * delta * t0)
+    mat = (sd.overlaps[:, None] * sd.overlaps[None, :].conj()) * kernel
+    del delta, kernel
+    if not want_vectors:
+        return np.linalg.eigvalsh(mat)[::-1], None
+    vals, vecs = np.linalg.eigh(mat)
+    return vals[::-1], vecs[:, ::-1]
+
+
+def _snapshots(sd: SpectralDecomposition, t0: float, edges: np.ndarray,
+               counts: np.ndarray, w: WeightFunction | None) -> np.ndarray:
+    """Snapshot matrix Psi_{ni} = c_n e^{-iE_n(t0 + tau_i)} sqrt(omega_i),
+    with counts[k] Gauss-Legendre nodes on panel [edges[k], edges[k+1]]."""
+    taus, omegas = [], []
+    for a, b, n in zip(edges[:-1], edges[1:], counts):
+        x, g = scipy.special.roots_legendre(int(n))
+        taus.append(a + 0.5 * (b - a) * (x + 1.0))
+        omegas.append(0.5 * (b - a) * g)
+    tau = np.concatenate(taus)
+    omega = np.concatenate(omegas)
+    if w is None:
+        omega = omega / edges[-1]
+    else:
+        omega = omega * np.array([w.density(float(s)) for s in tau])
+    phases = np.exp(-1j * np.outer(sd.energies, t0 + tau))
+    return (sd.overlaps[:, None] * phases) * np.sqrt(omega)[None, :]
+
+
+def _snapshot_spectrum(psi: np.ndarray, want_vectors: bool):
+    """Descending eigenvalues of Psi Psi^dag from the smaller Gram side, or
+    with orthonormal eigenvectors from a thin SVD of Psi."""
+    if want_vectors:
+        u, s, _ = np.linalg.svd(psi, full_matrices=False)
+        return s ** 2, u
+    n, m = psi.shape
+    gram = psi.conj().T @ psi if m < n else psi @ psi.conj().T
+    return np.linalg.eigvalsh(gram)[::-1], None
 
 
 def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
@@ -299,39 +351,60 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
                    want_vectors: bool = False) -> AveragedStateSpectrum:
     """Spectrum of the state averaged over [t0, t0 + t].
 
-    The matrix is assembled in the energy basis from the overlap dyad and
-    the window kernel K; `w = None` means the uniform window with its
-    closed-form kernel. Eigenvalues are returned descending, with values
-    in [-1e-12, 0) clamped to zero, and eigenvectors (energy-basis
-    columns, same order) attached on request.
+    `w = None` means the uniform window. The spectrum comes from the
+    snapshot matrix on m Gauss-Legendre nodes (composite panels split at
+    `w.breakpoints` for a weighted window), with m >= (E_max - E_min) t / 2
+    chosen a priori and confirmed by the top eigenvalues at m/2 agreeing
+    to 1e-12 absolute (else m doubles). A uniform window that needs
+    m >= N nodes uses the exact N x N closed form instead; a weighted one
+    that has not settled by 8 N nodes raises AccuracyError.
+
+    Eigenvalues are returned descending and padded with zeros to N, with
+    values in [-1e-12, 0) clamped to zero; eigenvectors (energy-basis
+    columns, same order) are attached on request. The snapshot columns
+    come from an SVD, so they are orthonormal by construction.
     """
     if t <= 0:
         raise DomainError("window width t must be positive")
-    delta = sd.energies[:, None] - sd.energies[None, :]
     if w is None:
-        kernel = _uniform_kernel(delta, t)
+        edges = np.array([0.0, t])
     else:
         if abs(w.t - t) > 1e-12 * max(t, 1.0):
             raise DomainError("weight window differs from requested t")
-        kernel = _weighted_kernel(delta, t, w)
-    if t0 != 0.0:
-        kernel = kernel * np.exp(-1j * delta * t0)
-    mat = (sd.overlaps[:, None] * sd.overlaps[None, :].conj()) * kernel
-    del delta, kernel
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(mat)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        vecs = vecs[:, order]
-    else:
-        vals = np.linalg.eigvalsh(mat)[::-1]
-        vecs = None
+        edges = np.unique(np.clip([0.0, *w.breakpoints, t], 0.0, t))
+    dim = sd.dim
+    width = float(sd.energies[-1] - sd.energies[0])
+    m = max(_M_MIN, math.ceil(width * t / 2.0))
+    counts = np.maximum(_PANEL_MIN, np.ceil(m * np.diff(edges) / t)).astype(int)
+    coarse = None
+    while True:
+        nodes = int(counts.sum())
+        if w is None and nodes >= dim:
+            vals, vecs = _closed_form(sd, t0, t, want_vectors)
+            nodes = 0
+            break
+        if coarse is None:
+            coarse, _ = _snapshot_spectrum(
+                _snapshots(sd, t0, edges, (counts + 1) // 2, w), False)
+        vals, vecs = _snapshot_spectrum(_snapshots(sd, t0, edges, counts, w),
+                                        want_vectors)
+        k = coarse.size
+        settle = float(np.abs(vals[:k] - coarse).max())
+        if settle <= _SETTLE:
+            break
+        if nodes >= _WEIGHTED_CAP * dim:
+            raise AccuracyError(
+                f"averaged-state spectrum changed by {settle:.2e} from "
+                f"{nodes // 2} to {nodes} nodes", achieved=settle)
+        coarse, counts = vals, 2 * counts
     vals = np.where((vals < 0) & (vals > -1e-12), 0.0, vals)
+    vals = np.concatenate([vals, np.zeros(dim - vals.size)])
     total = float(vals.sum())
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"averaged-state trace {total} deviates from 1")
     return AveragedStateSpectrum(eigenvalues=vals, t0=float(t0), t=float(t),
-                                 cumulative=np.cumsum(vals), vectors=vecs)
+                                 cumulative=np.cumsum(vals), vectors=vecs,
+                                 nodes=nodes)
 
 
 class EffectiveRank(NamedTuple):
@@ -377,7 +450,7 @@ def rank_curve(spec, psi0: np.ndarray,
                sd: SpectralDecomposition | None = None) -> RankCurve:
     """Effective rank per unit sqrt(L) over a time grid.
 
-    For each window width the averaged state is diagonalized and truncated
+    For each window width the averaged state's spectrum is truncated
     at eps_schedule(t); the companion prediction line is
     sqrt(2 e2)/pi * erfinv(1 - eps_t) * sqrt(L) * t with e2 taken from the
     measured energy cumulants of the same system.
@@ -424,8 +497,10 @@ def projection_error(sd: SpectralDecomposition, T: float, eps_T: float,
     """Error of projecting |Psi_t> onto the retained subspace of the
     [0, T] average: 1 - <Psi_t| P |Psi_t>.
 
-    `spec` may carry a precomputed eigendecomposition (with vectors) of the
-    averaged state to avoid repeating the dense solve.
+    P spans the D leading eigenvectors of `averaged_state(sd, 0, T)`, which
+    for T below the closed-form threshold are the left singular vectors of
+    the snapshot matrix. `spec` may carry a precomputed spectrum with
+    vectors of that average to avoid repeating the solve.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < -1e-12) or np.any(ts > T * (1 + 1e-12)):
@@ -434,7 +509,7 @@ def projection_error(sd: SpectralDecomposition, T: float, eps_T: float,
         spec = averaged_state(sd, 0.0, T, want_vectors=True)
     rank = effective_rank(spec, eps_T)
     d = rank.D
-    k = min(d + 1, spec.eigenvalues.size)
+    k = min(d + 1, spec.vectors.shape[1])
     psi_t = sd.overlaps[:, None] * np.exp(
         -1j * np.outer(sd.energies, ts))
     amps = spec.vectors[:, :k].conj().T @ psi_t      # (k, nt)

@@ -30,7 +30,7 @@ from qspan.ed import (
     spectral_decomposition,
     write_hamiltonian_file,
 )
-from qspan.errors import ConfigError, DomainError, SizeError
+from qspan.errors import AccuracyError, ConfigError, DomainError, SizeError
 
 
 def riemann_average(sd, t: float, slices: int = 10000) -> np.ndarray:
@@ -116,6 +116,20 @@ class TestSpectralDecomposition:
         with pytest.raises(DomainError):
             spectral_decomposition(spec, np.ones(8))
 
+    def test_real_hamiltonian_diagonalized_in_real_arithmetic(self):
+        spec = chaotic_chain(6)
+        sd = spectral_decomposition(spec, ground_state(chaotic_initial_chain(6)))
+        assert sd.basis.dtype == np.float64
+        h = build_hamiltonian(spec)
+        assert np.abs(sd.energies - np.linalg.eigvalsh(h)).max() < 1e-12
+        # a chain with single-site Y terms has an imaginary part and stays
+        # complex
+        spec_y = PauliHamiltonian(L=3, terms=((0.7, ((0, "Y"),)),
+                                              (0.4, ((0, "X"), (1, "X"))),
+                                              (0.3, ((1, "Z"), (2, "Z")))))
+        sd_y = spectral_decomposition(spec_y, random_state(8, 3))
+        assert np.iscomplexobj(sd_y.basis)
+
 
 class TestAveragedState:
     def test_short_window_is_pure(self):
@@ -167,6 +181,144 @@ class TestAveragedState:
         spec_t = averaged_state(sd, 0.0, 3.3)
         assert spec_t.eigenvalues.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(spec_t.eigenvalues >= 0.0)
+
+
+def closed_form_oracle(sd, t: float, t0: float = 0.0) -> np.ndarray:
+    """Energy-basis matrix of the uniform [t0, t0 + t] average:
+    c_m conj(c_n) e^{-iD(t0 + t/2)} sin(Dt/2)/(Dt/2), D = E_m - E_n."""
+    d = sd.energies[:, None] - sd.energies[None, :]
+    kernel = np.exp(-1j * d * (t0 + 0.5 * t)) * np.sinc(d * t / (2 * np.pi))
+    return np.outer(sd.overlaps, sd.overlaps.conj()) * kernel
+
+
+def benchmark_schedule(t: float) -> float:
+    return 0.15 / math.sqrt(1.0 + 100.0 * t)
+
+
+# eight windows about 0.5 apart, as in a rank-collapse run
+SNAPSHOT_TIMES = [0.52 * (i + 1) for i in range(8)]
+
+
+@pytest.fixture(scope="module", params=["integrable_8", "chaotic_10"])
+def snapshot_system(request):
+    if request.param == "integrable_8":
+        spec, psi0 = integrable_chain(8, J=1.1), polarized_state(8, "x")
+    else:
+        spec = chaotic_chain(10, J=0.9, boundary="open")
+        psi0 = ground_state(chaotic_initial_chain(10, J=0.9, boundary="open"))
+    return spectral_decomposition(spec, psi0)
+
+
+class TestSnapshotPath:
+    """Windows short enough for the snapshot matrix, against N x N oracles."""
+
+    def test_path_selection(self, snapshot_system):
+        sd = snapshot_system
+        short = averaged_state(sd, 0.0, 2.0)
+        assert 32 <= short.nodes < sd.dim
+        assert averaged_state(sd, 0.0, 1e3).nodes == 0
+        small = spectral_decomposition(random_chain(4, seed=3),
+                                       random_state(16, 9))
+        assert averaged_state(small, 0.0, 2.0).nodes == 0
+
+    def test_spectrum_and_rank_match_closed_form(self, snapshot_system):
+        sd = snapshot_system
+        for t in SNAPSHOT_TIMES:
+            spec_t = averaged_state(sd, 0.0, t)
+            assert 0 < spec_t.nodes < sd.dim
+            oracle = np.linalg.eigvalsh(closed_form_oracle(sd, t))[::-1]
+            assert np.abs(spec_t.eigenvalues - oracle).max() < 1e-12
+            spec_o = AveragedStateSpectrum(eigenvalues=oracle, t0=0.0, t=t,
+                                           cumulative=np.cumsum(oracle))
+            eps = benchmark_schedule(t)
+            assert effective_rank(spec_t, eps).D \
+                == effective_rank(spec_o, eps).D
+
+    @pytest.mark.parametrize("T", [1.37, 3.81])
+    def test_projection_error_matches_closed_form(self, snapshot_system, T):
+        sd = snapshot_system
+        eps = benchmark_schedule(T)
+        ts = np.linspace(0.0, T, 201)
+        res = projection_error(sd, T, eps, ts)
+        vals, vecs = np.linalg.eigh(closed_form_oracle(sd, T))
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        d = effective_rank(AveragedStateSpectrum(
+            eigenvalues=vals, t0=0.0, t=T, cumulative=np.cumsum(vals)),
+            eps).D
+        psi_t = sd.overlaps[:, None] * np.exp(-1j * np.outer(sd.energies, ts))
+        captured = np.cumsum(np.abs(vecs[:, :d + 1].conj().T @ psi_t) ** 2,
+                             axis=0)
+        err = np.clip(1.0 - captured[d - 1], 0.0, 1.0)
+        low = np.clip(1.0 - captured[d], 0.0, 1.0)
+        high = (np.clip(1.0 - captured[d - 2], 0.0, 1.0) if d >= 2
+                else np.ones_like(ts))
+        assert res.D == d
+        assert np.abs(res.error - err).max() < 1e-10
+        assert np.abs(res.band_low - low).max() < 1e-10
+        assert np.abs(res.band_high - high).max() < 1e-10
+
+    def test_vectors_orthonormal(self, snapshot_system):
+        sd = snapshot_system
+        spec_t = averaged_state(sd, 0.0, 2.6, want_vectors=True)
+        k = spec_t.vectors.shape[1]
+        assert k == spec_t.nodes
+        gram = spec_t.vectors.conj().T @ spec_t.vectors
+        assert np.abs(gram - np.eye(k)).max() < 1e-12
+        assert np.abs(spec_t.eigenvalues[k:]).max() == 0.0
+
+    def test_shifted_window_matches_riemann(self):
+        sd = spectral_decomposition(integrable_chain(8, J=1.1),
+                                    polarized_state(8, "x"))
+        t0, t = 0.9, 1.6
+        spec_t = averaged_state(sd, t0, t, want_vectors=True)
+        assert spec_t.nodes > 0
+        k = spec_t.vectors.shape[1]
+        vecs = sd.basis @ spec_t.vectors
+        rho_spec = (vecs * spec_t.eigenvalues[:k]) @ vecs.conj().T
+        slices = 10000
+        taus = t0 + (np.arange(slices) + 0.5) * t / slices
+        states = sd.basis @ (sd.overlaps[:, None]
+                             * np.exp(-1j * np.outer(sd.energies, taus)))
+        rho_sum = (states @ states.conj().T) / slices
+        assert np.linalg.norm(rho_spec - rho_sum, ord=2) < 1e-6
+        d = effective_rank(spec_t, benchmark_schedule(t)).D
+        proj = vecs[:, :d] @ vecs[:, :d].conj().T
+        _, oracle_vecs = np.linalg.eigh(rho_sum)
+        top = oracle_vecs[:, ::-1][:, :d]
+        assert np.linalg.norm(proj - top @ top.conj().T, ord=2) < 1e-6
+
+    def test_tabulated_weight_with_kinks_matches_riemann(self):
+        sd = spectral_decomposition(integrable_chain(8, J=1.1),
+                                    polarized_state(8, "x"))
+        w = WeightFunction.from_table([0.0, 0.45, 1.2, 1.75, 2.5],
+                                      [0.2, 1.0, 0.3, 0.8, 0.5])
+        spec_w = averaged_state(sd, 0.0, w.t, w=w)
+        assert spec_w.nodes > 0
+        slices = 40000
+        taus = (np.arange(slices) + 0.5) * w.t / slices
+        dens = np.array([w.density(float(s)) for s in taus]) * w.t / slices
+        amps = sd.overlaps[:, None] * np.exp(-1j * np.outer(sd.energies, taus))
+        rho = (amps * dens) @ amps.conj().T
+        oracle = np.linalg.eigvalsh(rho)[::-1]
+        assert np.abs(spec_w.eigenvalues - oracle).max() < 1e-6
+
+    def test_undeclared_kink_raises(self):
+        # Gauss-Legendre converges only algebraically across a kink, so a
+        # kinked closure must declare its breakpoints
+        sd = spectral_decomposition(random_chain(4, seed=8), random_state(16, 2))
+        knots = np.array([0.0, 0.8, 1.3, 2.0])
+        values = np.array([0.5, 1.0, 0.2, 0.6])
+        values = values / np.trapezoid(values, knots)
+
+        def density(s):
+            return float(np.interp(s, knots, values))
+
+        declared = WeightFunction.from_callable(2.0, density,
+                                                breakpoints=(0.8, 1.3))
+        assert averaged_state(sd, 0.0, 2.0, w=declared).nodes > 0
+        hidden = WeightFunction.from_callable(2.0, density)
+        with pytest.raises(AccuracyError):
+            averaged_state(sd, 0.0, 2.0, w=hidden)
 
 
 class TestEffectiveRank:
