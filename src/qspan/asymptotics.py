@@ -21,17 +21,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq
+from scipy.special import erfc
 
-from .errors import DomainError, NoSolutionError, SingularPointError
-from .special import (
+from .errors import (
+    AccuracyError,
+    DomainError,
+    NoSolutionError,
+    SingularPointError,
+)
+from .special import (  # perfbench/tracing.py patches each name bound here
     adaptive_simpson,
     correction_integral,
-    erf,
+    erf,  # noqa: F401
     erf_inv,
     erf_inv_tail_expansion,
 )
@@ -67,6 +73,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_SCAN = 2048   # intervals of the density scan that brackets level crossings
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +122,8 @@ class WeightFunction:
     Construct through :meth:`uniform`, :meth:`from_table` or
     :meth:`from_callable`; the constructor checks normalization by
     quadrature. Tabulated densities are interpolated linearly and expose
-    their nodes as quadrature breakpoints.
+    their nodes as quadrature breakpoints. Uniform and tabulated densities
+    also take a whole array of times; a closure is called once per time.
     """
 
     t: float
@@ -158,8 +166,8 @@ class WeightFunction:
                 raise DomainError("tabulated density has zero mass")
             values = values / area
 
-        def density(tau: float, _t=times, _v=values) -> float:
-            return float(np.interp(tau, _t, _v))
+        def density(tau, _t=times, _v=values):
+            return np.interp(tau, _t, _v)
 
         return cls(t=float(times[-1]), density=density, kind="tabulated",
                    breakpoints=tuple(times[1:-1]), _sup=float(values.max()))
@@ -177,6 +185,22 @@ class WeightFunction:
     def sup(self) -> float:
         """Largest density value (exact for uniform/tabulated, sampled else)."""
         return self._sup
+
+    def _sample(self, taus: np.ndarray) -> np.ndarray:
+        """Density at every entry of an array of times."""
+        if self.kind == "closure":
+            return np.array([self.density(float(x)) for x in taus.ravel()]
+                            ).reshape(taus.shape)
+        return np.broadcast_to(self.density(taus), taus.shape)
+
+    @cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density on 2049 equispaced times plus the breakpoints; its sign
+        changes against a level bracket the crossings `_density_crossings`
+        refines (two crossings closer than t/2048 can go unseen)."""
+        taus = np.union1d(np.linspace(0.0, self.t, _SCAN + 1),
+                          self.breakpoints)
+        return taus, self._sample(taus)
 
 
 @dataclass(frozen=True)
@@ -431,9 +455,98 @@ def mandelstam_tamm_bound(cs: CumulantSeries) -> float:
 # Nonuniform averages
 # ---------------------------------------------------------------------------
 
+_N_START = 8      # Gauss-Legendre nodes per panel in the first pass
+_N_CAP = 4096     # nodes per panel beyond which the doubling gives up
+_SETTLE = 1e-13   # change n/2 -> n, relative to int |f|, that ends doubling
+# Near a level just below a maximum of w, log(w/p) is small over a whole panel
+# and the rounding of w sets a noise floor in D (about 1e-16 / log(sup w / p))
+# and in Phi's 1/sqrt(log(w/p)) (growing like n^2, as the panel map puts
+# nodes ever closer to the crossings): once the changes grow instead of
+# shrinking, the estimate before is kept if its change is within _FLOOR.
+# Phi's floor reaches 1e-13 already at n = 32, so it settles at _SETTLE_PHI.
+_FLOOR = 1e-6
+_SETTLE_PHI = 1e-10
+_ROOT_RTOL = 1e-14
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=16)   # n runs over the powers of two up to _N_CAP
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [0, 1] pushed through s = 3u^2 - 2u^3.
+
+    The map has zero slope at both ends, so a sqrt(tau - a) behaviour at a
+    panel end becomes linear in u and a 1/sqrt one is cancelled by the
+    Jacobian 6u(1 - u): both integrate at the rate of a smooth function.
+    """
+    x, wts = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (x + 1.0)
+    s = u * u * (3.0 - 2.0 * u)
+    ds = 3.0 * u * (1.0 - u) * wts
+    s.setflags(write=False)
+    ds.setflags(write=False)
+    return s, ds
+
+
+def _density_crossings(w: WeightFunction, p: float) -> list[float]:
+    """Times where the density crosses level p.
+
+    Sign changes of the cached density scan, each refined by `brentq` to
+    a few ulp of the crossing: a panel that ends there may be that narrow.
+    """
+    taus, vals = w._scan
+    diff = vals - p
+    out = [float(tau) for tau in taus[:-1][diff[:-1] == 0.0]]
+    for i in np.nonzero(diff[:-1] * diff[1:] < 0.0)[0]:
+        out.append(brentq(lambda tau: w.density(tau) - p,
+                          taus[i], taus[i + 1], xtol=_TINY))
+    return out
+
+
+def _panel_integral(w: WeightFunction, integrand, levels=(),
+                    settle: float = _SETTLE, floor: float = _FLOOR) -> float:
+    """int_0^t integrand(w(tau)) dtau by composite Gauss-Legendre.
+
+    Panels end at the breakpoints and wherever the density crosses one of
+    `levels`, each mapped through `_panel_rule`; the node count per panel
+    doubles from 8 until n/2 -> n changes the integral by at most `settle`
+    times int |integrand|. If the change grows instead, the nodes have
+    reached the integrand's rounding noise, and the estimate before is
+    returned when its change was within `floor` times int |integrand|.
+    AccuracyError is raised if 4096 nodes settle neither way (an undeclared
+    kink or jump of the density).
+    """
+    edges = {0.0, w.t}
+    edges.update(bp for bp in w.breakpoints if 0.0 < bp < w.t)
+    for level in levels:
+        edges.update(_density_crossings(w, level))
+    edges = np.array(sorted(edges))
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    prev = best = None
+    last = math.inf
+    n = _N_START
+    while n <= _N_CAP:
+        s, ds = _panel_rule(n)
+        vals = integrand(w._sample(left + width * s))
+        weights = width * ds
+        total = float(np.sum(vals * weights))
+        scale = float(np.sum(np.abs(vals) * weights))
+        if prev is not None:
+            change = abs(total - prev)
+            if change <= settle * scale:
+                return total
+            if change > last and last <= floor * scale:
+                return best
+            last, best = change, total
+        prev = total
+        n *= 2
+    raise AccuracyError(
+        f"panel quadrature did not settle with {_N_CAP} nodes per panel; "
+        "declare the density's kinks as breakpoints",
+        value=prev, achieved=last)
+
+
 def _weight_power_integral(w: WeightFunction, alpha: float) -> float:
-    return adaptive_simpson(lambda tau: w.density(tau) ** alpha, 0.0, w.t,
-                            tol=1e-12, breakpoints=w.breakpoints)
+    return _panel_integral(w, lambda v: v ** alpha)
 
 
 def weighted_renyi(cs: CumulantSeries, w: WeightFunction,
@@ -459,35 +572,31 @@ def weighted_von_neumann(cs: CumulantSeries, w: WeightFunction) -> float:
     Adds the differential entropy -int w log w to the volume and variance
     terms.
     """
-    def integrand(tau: float) -> float:
-        val = w.density(tau)
-        return val * math.log(val) if val > 0.0 else 0.0
+    def integrand(v: np.ndarray) -> np.ndarray:
+        pos = v > 0.0
+        return np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
 
-    ent = -adaptive_simpson(integrand, 0.0, w.t, tol=1e-12,
-                            breakpoints=w.breakpoints)
+    ent = -_panel_integral(w, integrand)
     return (cs.d / 2.0) * math.log(cs.L) \
         + 0.5 * math.log(cs.e2 / (2.0 * math.pi)) + 0.5 + ent
 
 
-def _density_crossings(w: WeightFunction, p: float, n_scan: int = 2048) -> list[float]:
-    """Times where the density crosses level p, refined by bisection."""
-    taus = np.linspace(0.0, w.t, n_scan + 1)
-    vals = np.array([w.density(float(tau)) for tau in taus]) - p
-    out = []
-    for i in range(n_scan):
-        if vals[i] == 0.0:
-            out.append(float(taus[i]))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi = float(taus[i]), float(taus[i + 1])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if (w.density(mid) - p) * vals[i] > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
-    return out
+def _log_ratio(v: np.ndarray, p: float) -> np.ndarray:
+    """log(v/p) as log1p((v - p)/p): v - p is exact near a crossing, where
+    the rounding of v/p would swamp the small logarithm."""
+    return np.log1p((v - p) / p)
+
+
+def _level_integrand(p: float):
+    """theta(w - p) / sqrt(pi log(w/p)): Phi's integrand, and the slope in
+    p of the discarded mass's."""
+    def integrand(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape)
+        above = v > p
+        out[above] = 1.0 / np.sqrt(math.pi * _log_ratio(v[above], p))
+        return out
+
+    return integrand
 
 
 def weighted_phi_density(cs: CumulantSeries, w: WeightFunction,
@@ -497,29 +606,16 @@ def weighted_phi_density(cs: CumulantSeries, w: WeightFunction,
     Phi(lambda) = Omega int_0^t dtau theta(w(tau) - p)
     / sqrt(pi log(w(tau)/p)) at p = Omega lambda; reduces to
     Omega t Pi(Omega t lambda) for the uniform weight. The integrand has
-    integrable 1/sqrt singularities where the density crosses p, so those
-    points are located first and passed to QUADPACK.
+    integrable 1/sqrt singularities where the density crosses p; panels end
+    there, and the panel map makes the integrand finite.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
     p = cs.omega * lam
     if p >= w.sup:
         return 0.0
-
-    def integrand(tau: float) -> float:
-        val = w.density(tau)
-        if val <= p:
-            return 0.0
-        arg = math.log(val / p)
-        if arg <= 0.0:
-            return 0.0
-        return 1.0 / math.sqrt(math.pi * arg)
-
-    points = sorted(set(_density_crossings(w, p))
-                    | {bp for bp in w.breakpoints})
-    value, _ = scipy_quad(integrand, 0.0, w.t,
-                          points=points or None, limit=400)
-    return cs.omega * value
+    return cs.omega * _panel_integral(w, _level_integrand(p), (p,),
+                                      _SETTLE_PHI)
 
 
 def _weighted_discarded(w: WeightFunction, p: float) -> float:
@@ -527,17 +623,13 @@ def _weighted_discarded(w: WeightFunction, p: float) -> float:
     if p <= 0.0:
         return 0.0
 
-    def integrand(tau: float) -> float:
-        val = w.density(tau)
-        if val <= 0.0:
-            return 0.0
-        ratio = min(p / val, 1.0)
-        if ratio >= 1.0:
-            return val
-        return val * (1.0 - erf(math.sqrt(-math.log(ratio))))
+    def integrand(v: np.ndarray) -> np.ndarray:
+        out = np.array(v)   # where w <= p the whole mass is discarded
+        above = v > p
+        out[above] = v[above] * erfc(np.sqrt(_log_ratio(v[above], p)))
+        return out
 
-    return adaptive_simpson(integrand, 0.0, w.t, tol=1e-11,
-                            breakpoints=w.breakpoints)
+    return _panel_integral(w, integrand, (p,))
 
 
 def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
@@ -545,12 +637,18 @@ def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
     """Cutoff p_eps and dimension D for a nonuniform average.
 
     Solves eps = int_0^t dtau w(tau)[1 - erf(sqrt(-log min(p/w(tau),1)))]
-    for p_eps by monotone bisection, then evaluates
+    for p_eps with a bracketed root finder (`brentq`, relative tolerance
+    1e-14) on [eps/t, sup w]: erfc(x) <= exp(-x^2) bounds the integrand by p,
+    so the discarded mass at p = eps/t is at most eps. Then
 
         D = (2 Omega / sqrt(pi)) int_0^t dtau theta(min(w,Omega) - p_eps)
             [sqrt(log(w/p_eps)) - sqrt(log max(w/Omega, 1))].
 
-    The uniform weight reproduces the plain rank system with p = x/t.
+    Both integrals use the panel rule of `_panel_integral`, split where the
+    density crosses p (and, for D, Omega). One Newton step after the root
+    finder is carried into D as a shift of log(w/p_eps), since as eps -> 1
+    D resolves log(w/p_eps) more finely than a double holds p_eps. The
+    uniform weight reproduces the plain rank system with p = x/t.
     """
     if not 0.0 < eps < 1.0:
         raise NoSolutionError("eps must lie in (0,1)")
@@ -560,31 +658,26 @@ def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
     if _weighted_discarded(w, hi) < eps - 1e-12:
         raise NoSolutionError(
             f"eps={eps} not reachable below the density supremum")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _weighted_discarded(w, mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(hi, 1e-300):
-            break
-    p_eps = 0.5 * (lo + hi)
+    lo = eps / w.t
+    p0 = brentq(lambda p: _weighted_discarded(w, p) - eps, lo, hi,
+                xtol=_ROOT_RTOL * lo, rtol=_ROOT_RTOL)
+    # the slope only sizes a step below brentq's tolerance: 3 digits do
+    slope = _panel_integral(w, _level_integrand(p0), (p0,), 1e-3, 1.0)
+    step = (_weighted_discarded(w, p0) - eps) / slope if slope > 0.0 else 0.0
+    shift = math.log1p(-step / p0)   # log(p_eps / p0)
 
     omega = cs.omega
 
-    def integrand(tau: float) -> float:
-        val = w.density(tau)
-        if min(val, omega) <= p_eps:
-            return 0.0
-        out = math.sqrt(math.log(val / p_eps))
-        if val > omega:
-            out -= math.sqrt(math.log(val / omega))
+    def integrand(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape)
+        keep = np.minimum(v, omega) > p0
+        vk = v[keep]
+        out[keep] = np.sqrt(np.maximum(_log_ratio(vk, p0) - shift, 0.0)) \
+            - np.sqrt(_log_ratio(np.maximum(vk, omega), omega))
         return out
 
-    dim = 2.0 * omega / _SQRT_PI * adaptive_simpson(
-        integrand, 0.0, w.t, tol=1e-11, breakpoints=w.breakpoints)
-    return WeightedRankSolution(p_eps=p_eps, D=dim)
+    dim = 2.0 * omega / _SQRT_PI * _panel_integral(w, integrand, (p0, omega))
+    return WeightedRankSolution(p_eps=p0 - step, D=dim)
 
 
 # ---------------------------------------------------------------------------

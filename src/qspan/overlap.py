@@ -144,21 +144,52 @@ def _log_arguments(q: IsingQuench, t, eps, cos_delta):
     return c + (1.0 - c) * np.exp(2j * np.outer(np.atleast_1d(t), eps))
 
 
+def _mode_log_sum(eps, cos_delta, w):
+    """ts -> sum_k w_k log[c_k + (1 - c_k) e^{i theta_k}], theta_k =
+    2 eps_k t and c_k = (1 + cos Delta_k)/2, each mode's log continuous in t.
+
+    The principal log jumps by 2 pi i whenever its argument crosses the
+    negative real axis, which only a mode with c < 1/2 can do. The modes are
+    split once: for c >= 1/2 the argument has real part >= 2c - 1 >= 0 and
+    keeps the principal log; for c < 1/2 the log is
+    i theta + log1p(r e^{-i theta}) - log1p(r) with r = c/(1 - c) < 1 (so
+    log(1 - c) = -log1p(r)), whose log1p stays on the principal sheet, and
+    its i theta sums over the modes in closed form. Every term is exactly 0
+    at t = 0.
+    """
+    c = 0.5 * (1.0 + cos_delta)
+    hi = c >= 0.5
+    c_hi, eps_hi, w_hi = c[hi], eps[hi], w[hi]
+    eps_lo, w_lo = eps[~hi], w[~hi]
+    r = c[~hi] / (1.0 - c[~hi])
+    log1p_r = np.log1p(r + 0j)   # the complex routine, as in log_sum
+    slope = 2.0 * float(np.sum(w_lo * eps_lo))
+
+    def log_sum(ts):
+        ts = np.asarray(ts, dtype=float)[:, None]
+        z_hi = c_hi + (1.0 - c_hi) * np.exp(2j * ts * eps_hi)
+        tail = np.log1p(r * np.exp(-2j * ts * eps_lo)) - log1p_r
+        return np.log(z_hi) @ w_hi + tail @ w_lo + 1j * slope * ts[:, 0]
+
+    return log_sum
+
+
 def ising_f(q: IsingQuench, t: float) -> complex:
     """Dynamical free energy of the quench at time t.
 
     f(t) = -int_0^pi dk/2pi log[(1+cos Delta_k)/2 + (1-cos Delta_k)/2
-    e^{2 i eps_k t}] with the principal log per momentum; the overall minus
-    makes Re f >= 0 under the overlap convention exp(-L^d f). Warns when
-    the integrand crosses the negative real axis between grid momenta.
+    e^{2 i eps_k t}] with each momentum's log continuous in t from
+    log 1 = 0 (`_mode_log_sum`); the overall minus makes Re f >= 0 under
+    the overlap convention exp(-L^d f). Warns when the integrand crosses
+    the negative real axis between grid momenta.
     """
     k, w = _simpson_nodes(q)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GapClosingWarning)
         eps, cos_delta = ising_dispersion(q, k)
-    z = _log_arguments(q, float(t), eps, cos_delta)[0]
-    _warn_on_branch_crossing(z)
-    return complex(-np.sum(w * np.log(z)) / (2.0 * math.pi))
+    _warn_on_branch_crossing(_log_arguments(q, float(t), eps, cos_delta)[0])
+    log_sum = _mode_log_sum(eps, cos_delta, w)
+    return complex(-log_sum([float(t)])[0] / (2.0 * math.pi))
 
 
 def _warn_on_branch_crossing(z: np.ndarray) -> None:
@@ -219,14 +250,16 @@ class DynamicalFreeEnergy:
             warnings.simplefilter("ignore", GapClosingWarning)
             eps, cos_delta = ising_dispersion(q, k)
 
-        def eval_many(ts, _q=q, _w=w, _eps=eps, _cd=cos_delta):
+        log_sum = _mode_log_sum(eps, cos_delta, w)
+
+        def eval_many(ts, _n=eps.size):
             ts = np.asarray(ts, dtype=float)
             flat = ts.ravel()
             out = np.empty(flat.shape, dtype=complex)
-            chunk = max(1, 2_000_000 // (_eps.size + 1))
+            chunk = max(1, 2_000_000 // (_n + 1))
             for i in range(0, flat.size, chunk):
-                z = _log_arguments(_q, flat[i:i + chunk], _eps, _cd)
-                out[i:i + chunk] = -(np.log(z) @ _w) / (2.0 * math.pi)
+                out[i:i + chunk] = -log_sum(flat[i:i + chunk]) \
+                    / (2.0 * math.pi)
             return out.reshape(ts.shape)
 
         return cls("ising_quench", eval_many,

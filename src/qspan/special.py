@@ -1,11 +1,11 @@
 """Scalar special functions and Gaussian integrals used across the library.
 
-Everything here is deterministic and dependency-light so it can be golden
-tested in isolation: the error function and its inverse (needed by the
-effective-rank formulas), the small-truncation expansion of erf^{-1}, the
-imaginary part of the order-1/2 polylogarithm on its branch cut (which shapes
-the eigenvalue distribution), and the coupled Gaussian integral that sets the
-leading finite-size correction of the moments.
+Everything here is deterministic so it can be golden tested in isolation:
+the error function and its inverse (needed by the effective-rank formulas;
+thin wrappers over scipy.special), the small-truncation expansion of
+erf^{-1}, the imaginary part of the order-1/2 polylogarithm on its branch
+cut (which shapes the eigenvalue distribution), and the coupled Gaussian
+integral that sets the leading finite-size correction of the moments.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.special
 
 from .errors import AccuracyError, DomainError, SingularPointError
 
@@ -55,54 +56,8 @@ class IntegralEstimate(NamedTuple):
 
 
 def erf(x: float) -> float:
-    """Error function, odd and monotone, absolute accuracy below 1e-14.
-
-    Maclaurin series for |x| < 2 (alternating, mild cancellation), and the
-    standard continued fraction for the complementary function beyond that.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return -erf(-x)
-    if x < 2.0:
-        # 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1))
-        term = x
-        total = x
-        n = 0
-        xsq = x * x
-        while abs(term) > 1e-18 * max(abs(total), 1e-30):
-            n += 1
-            term *= -xsq / n
-            total += term / (2 * n + 1)
-        return 2.0 / _SQRT_PI * total
-    if x > 27.0:
-        return 1.0
-    return 1.0 - _erfc_cf(x)
-
-
-def _erfc_cf(x: float) -> float:
-    """erfc(x) for x >= 2 via the Laplace continued fraction (Lentz)."""
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    n = 0
-    while n < 300:
-        n += 1
-        a = 1.0 if n == 1 else 0.5 * (n - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / _SQRT_PI * f
+    """Error function (`scipy.special.erf`); NaN passes through."""
+    return float(scipy.special.erf(float(x)))
 
 
 def erf_inv_tail_expansion(eps: float) -> float:
@@ -122,43 +77,14 @@ def erf_inv_tail_expansion(eps: float) -> float:
 
 
 def erf_inv(y: float) -> float:
-    """Inverse error function on (-1, 1).
+    """Inverse error function on (-1, 1) (`scipy.special.erfinv`).
 
-    Newton iteration seeded from the tail expansion (or the linearization at
-    the origin), safeguarded by a bisection bracket; round trip through erf
-    is accurate to better than 1e-12 away from the endpoints.
+    Raises DomainError for |y| >= 1 and for NaN.
     """
     y = float(y)
     if not -1.0 < y < 1.0:
         raise DomainError(f"erf_inv requires |y| < 1, got {y}")
-    if y == 0.0:
-        return 0.0
-    if y < 0.0:
-        return -erf_inv(-y)
-
-    if y > 0.9:
-        x = erf_inv_tail_expansion(1.0 - y)
-    else:
-        x = 0.5 * _SQRT_PI * y  # exact slope at the origin
-    lo, hi = 0.0, 7.0
-    for _ in range(100):
-        g = erf(x) - y
-        if g > 0.0:
-            hi = x
-        else:
-            lo = x
-        deriv = 2.0 / _SQRT_PI * math.exp(-x * x)
-        if deriv > 0.0:
-            step = g / deriv
-            x_new = x - step
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-15 * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+    return float(scipy.special.erfinv(y))
 
 
 def polylog_half_branch(x: float) -> float:

@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+import scipy.special
 
 from qspan.asymptotics import (
     CumulantSeries,
@@ -364,3 +367,123 @@ class TestWeighted:
         assert w.kind == "tabulated"
         assert w.breakpoints == (0.5,)
         assert w.sup == pytest.approx(4.0 / 3.0)
+
+
+# Independent oracles for the weighted closed forms: each weight comes with
+# its level crossings in closed form, QUADPACK integrates between them and
+# brentq finds p_eps.
+
+def _ramp(t):
+    return ramp_weight(t), lambda p: [p * t * t / 2.0]
+
+
+def _cosine(t):
+    def crossings(p):
+        if p * t >= 2.0:
+            return []
+        a = t / (2.0 * math.pi) * math.acos(1.0 - p * t)
+        return [a, t - a]
+    return cosine_bump_weight(t), crossings
+
+
+def _exponential(t, rate=2.0):
+    norm = 1.0 - math.exp(-rate * t)
+    return (truncated_exponential_weight(t, rate),
+            lambda p: [-math.log(p * norm / rate) / rate])
+
+
+def _half(t):
+    w = WeightFunction.from_callable(
+        t, lambda tau: 2.0 / t if tau < t / 2 else 0.0, breakpoints=(t / 2,))
+    return w, lambda p: []
+
+
+KINK_TIMES = (0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
+KINK_VALUES = (1.0, 2.0, 0.5, 1.5, 1.2, 0.3)
+
+
+def _kinked(t):
+    times = np.array(KINK_TIMES) * t
+    values = np.array(KINK_VALUES) / np.trapezoid(KINK_VALUES, times)
+
+    def crossings(p):
+        out = []
+        for a, b, fa, fb in zip(times, times[1:], values, values[1:]):
+            if (fa - p) * (fb - p) < 0:
+                out.append(a + (p - fa) * (b - a) / (fb - fa))
+        return out
+    return WeightFunction.from_table(times, KINK_VALUES), crossings
+
+
+def _quad(f, w, points):
+    points = sorted(x for x in set(points) | set(w.breakpoints)
+                    if 0.0 < x < w.t)
+    val, _ = scipy.integrate.quad(f, 0.0, w.t, points=points or None,
+                                  epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+def rank_oracle(w, crossings, eps, omega):
+    def discarded(p):
+        def f(tau):
+            v = w.density(tau)
+            return v * scipy.special.erfc(math.sqrt(math.log(v / p))) \
+                if v > p else v
+        return _quad(f, w, crossings(p))
+
+    p_eps = scipy.optimize.brentq(lambda p: discarded(p) - eps, eps / w.t,
+                                  w.sup, xtol=1e-300, rtol=1e-15)
+
+    def g(tau):
+        v = w.density(tau)
+        if min(v, omega) <= p_eps:
+            return 0.0
+        out = math.sqrt(math.log(v / p_eps))
+        return out - math.sqrt(math.log(v / omega)) if v > omega else out
+
+    dim = 2.0 * omega / math.sqrt(math.pi) * _quad(
+        g, w, crossings(p_eps) + crossings(omega))
+    return p_eps, dim
+
+
+class TestWeightedOracle:
+    @pytest.mark.parametrize("make", [_ramp, _cosine, _exponential, _half,
+                                      _kinked])
+    @pytest.mark.parametrize("eps", [0.01, 0.15, 0.8])
+    def test_rank_system_against_quadpack(self, make, eps):
+        w, crossings = make(2.0)
+        p_ref, d_ref = rank_oracle(w, crossings, eps, CS.omega)
+        sol = weighted_rank_system(CS, w, eps)
+        assert sol.p_eps == pytest.approx(p_ref, rel=1e-12)
+        assert sol.D == pytest.approx(d_ref, rel=1e-11, abs=1e-300)
+
+    def test_rank_system_uniform_near_total_truncation(self):
+        # p_eps sits within 1e-6 of w: D resolves log(w/p_eps) below the
+        # spacing of doubles near p_eps
+        t = 3.0
+        sol = weighted_rank_system(CS, WeightFunction.uniform(t), 0.999)
+        ref = solve_rank_system(CS, RankQuery(0.999, t))
+        assert sol.p_eps * t == pytest.approx(ref.x_eps, rel=1e-10)
+        assert sol.D == pytest.approx(ref.D, rel=1e-10)
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.999])
+    def test_phi_density_on_kinked_table(self, frac):
+        # on a linear piece w = a + b tau, int dtau theta(w - p)
+        # / sqrt(pi log(w/p)) = (p/|b|) [erfi(x)] between the piece's ends,
+        # x = sqrt(log(max(w, p)/p)): exact, no quadrature
+        t = 2.0
+        w, _ = _kinked(t)
+        times = np.array(KINK_TIMES) * t
+        values = np.array([w.density(float(x)) for x in times])
+        p = frac * w.sup
+
+        def x(v):
+            return math.sqrt(math.log(max(v, p) / p))
+
+        exact = sum(p / abs((fb - fa) / (b - a))
+                    * abs(scipy.special.erfi(x(fb))
+                          - scipy.special.erfi(x(fa)))
+                    for a, b, fa, fb in zip(times, times[1:], values,
+                                            values[1:]))
+        got = weighted_phi_density(CS, w, p / CS.omega)
+        assert got == pytest.approx(CS.omega * exact, rel=1e-10)
