@@ -495,7 +495,10 @@ def _density_crossings(w: WeightFunction, p: float) -> list[float]:
     """
     taus, vals = w._scan
     diff = vals - p
-    out = [float(tau) for tau in taus[:-1][diff[:-1] == 0.0]]
+    zero = diff == 0.0
+    plateau = np.zeros_like(zero)   # zeros inside a run of zeros
+    plateau[1:-1] = zero[:-2] & zero[2:]
+    out = [float(tau) for tau in taus[zero & ~plateau]]
     for i in np.nonzero(diff[:-1] * diff[1:] < 0.0)[0]:
         out.append(brentq(lambda tau: w.density(tau) - p,
                           taus[i], taus[i + 1], xtol=_TINY))

@@ -155,21 +155,31 @@ def _mode_log_sum(eps, cos_delta, w):
     i theta + log1p(r e^{-i theta}) - log1p(r) with r = c/(1 - c) < 1 (so
     log(1 - c) = -log1p(r)), whose log1p stays on the principal sheet, and
     its i theta sums over the modes in closed form. Every term is exactly 0
-    at t = 0.
+    at t = 0. One complex array per call, worked in place.
     """
     c = 0.5 * (1.0 + cos_delta)
-    hi = c >= 0.5
-    c_hi, eps_hi, w_hi = c[hi], eps[hi], w[hi]
-    eps_lo, w_lo = eps[~hi], w[~hi]
-    r = c[~hi] / (1.0 - c[~hi])
+    order = np.argsort(c < 0.5, kind="stable")   # the c >= 1/2 modes first
+    c, eps, w = c[order], eps[order], w[order]
+    n_hi = int(np.count_nonzero(c >= 0.5))
+    c_hi = c[:n_hi]
+    r = c[n_hi:] / (1.0 - c[n_hi:])
     log1p_r = np.log1p(r + 0j)   # the complex routine, as in log_sum
-    slope = 2.0 * float(np.sum(w_lo * eps_lo))
+    slope = 2.0 * float(np.sum(w[n_hi:] * eps[n_hi:]))
+    two_i_eps = 2j * eps
 
     def log_sum(ts):
-        ts = np.asarray(ts, dtype=float)[:, None]
-        z_hi = c_hi + (1.0 - c_hi) * np.exp(2j * ts * eps_hi)
-        tail = np.log1p(r * np.exp(-2j * ts * eps_lo)) - log1p_r
-        return np.log(z_hi) @ w_hi + tail @ w_lo + 1j * slope * ts[:, 0]
+        ts = np.asarray(ts, dtype=float)
+        z = np.multiply.outer(ts, two_i_eps)
+        np.exp(z, out=z)
+        hi, lo = z[:, :n_hi], z[:, n_hi:]
+        hi *= 1.0 - c_hi
+        hi += c_hi
+        np.log(hi, out=hi)
+        np.conjugate(lo, out=lo)
+        lo *= r
+        np.log1p(lo, out=lo)
+        lo -= log1p_r
+        return z @ w + 1j * slope * ts
 
     return log_sum
 
