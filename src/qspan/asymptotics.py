@@ -130,7 +130,6 @@ class WeightFunction:
     density: Callable[[float], float]
     kind: str  # uniform | tabulated | closure
     breakpoints: tuple[float, ...] = field(default=())
-    _sup: float = 0.0
 
     def __post_init__(self):
         if self.t <= 0:
@@ -146,8 +145,7 @@ class WeightFunction:
     @classmethod
     def uniform(cls, t: float) -> "WeightFunction":
         t = float(t)
-        return cls(t=t, density=lambda tau: 1.0 / t, kind="uniform",
-                   _sup=1.0 / t)
+        return cls(t=t, density=lambda tau: 1.0 / t, kind="uniform")
 
     @classmethod
     def from_table(cls, times: Sequence[float], values: Sequence[float],
@@ -170,21 +168,18 @@ class WeightFunction:
             return np.interp(tau, _t, _v)
 
         return cls(t=float(times[-1]), density=density, kind="tabulated",
-                   breakpoints=tuple(times[1:-1]), _sup=float(values.max()))
+                   breakpoints=tuple(times[1:-1]))
 
     @classmethod
     def from_callable(cls, t: float, density: Callable[[float], float],
                       breakpoints: Sequence[float] = ()) -> "WeightFunction":
-        t = float(t)
-        grid = np.linspace(0.0, t, 4097)
-        sup = max(density(float(x)) for x in grid)
-        return cls(t=t, density=density, kind="closure",
-                   breakpoints=tuple(breakpoints), _sup=sup)
+        return cls(t=float(t), density=density, kind="closure",
+                   breakpoints=tuple(breakpoints))
 
     @property
     def sup(self) -> float:
-        """Largest density value (exact for uniform/tabulated, sampled else)."""
-        return self._sup
+        """Largest density value on `_scan`; exact unless w is a closure."""
+        return float(self._scan[1].max())
 
     def _sample(self, taus: np.ndarray) -> np.ndarray:
         """Density at every entry of an array of times."""
@@ -650,8 +645,10 @@ def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
     Both integrals use the panel rule of `_panel_integral`, split where the
     density crosses p (and, for D, Omega). One Newton step after the root
     finder is carried into D as a shift of log(w/p_eps), since as eps -> 1
-    D resolves log(w/p_eps) more finely than a double holds p_eps. The
-    uniform weight reproduces the plain rank system with p = x/t.
+    D resolves log(w/p_eps) more finely than a double holds p_eps; where
+    the step is not small against log(sup w / p_eps) (a flat weight from
+    eps ~ 1 - 1e-7) AccuracyError is raised. The uniform weight reproduces
+    the plain rank system with p = x/t.
     """
     if not 0.0 < eps < 1.0:
         raise NoSolutionError("eps must lie in (0,1)")
@@ -668,6 +665,13 @@ def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
     slope = _panel_integral(w, _level_integrand(p0), (p0,), 1e-3, 1.0)
     step = (_weighted_discarded(w, p0) - eps) / slope if slope > 0.0 else 0.0
     shift = math.log1p(-step / p0)   # log(p_eps / p0)
+    # on a flat top D ~ sqrt(top) and the step leaves (shift/top)^2/8 of D,
+    # accepted up to the noise floor the panel rule accepts
+    top = float(_log_ratio(hi, p0)) - shift   # log(sup w / p_eps)
+    err = (shift / top) ** 2 / 8.0 if top > 0.0 else 1.0
+    if err > _FLOOR:
+        raise AccuracyError(f"log(sup w / p_eps) = {top:.2e} is not resolved "
+                            f"at eps = {eps}", value=p0 - step, achieved=err)
 
     omega = cs.omega
 

@@ -9,11 +9,11 @@ ising         field-quench free energy, e2, and finite-L entropy tables
 ed            exact-diagonalization rank curves and projection errors
 
 Every verb reads a flat INI config (`--config`), writes CSV or JSON
-(`--out`, `--format`), and is deterministic for a fixed config and seed:
-floats are emitted with shortest round-trip repr, rows are sorted by their
-key columns, and the schema line is versioned. `ising` computes its (L,
-alpha) cells one after another from a single f table up to the window
-length; `--threads` is accepted by every verb and changes no verb's work.
+(`--out`, `--format`), and is deterministic for a fixed config: floats are
+emitted with shortest round-trip repr, rows are sorted by their key
+columns, and the schema line is versioned. `ising` computes its (L, alpha)
+cells one after another from a single f table up to the window length.
+`--seed` and `--threads` are accepted and unused.
 Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure.
 """
 
@@ -178,7 +178,7 @@ def _cumulant_series(cfg, L: int) -> asym.CumulantSeries:
         raise ConfigError(f"[cumulants]: {exc}") from exc
 
 
-def cmd_asymptotics(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
+def cmd_asymptotics(cfg, out: Path, fmt: str) -> None:
     l_list = _get_ints(cfg, "grid", "L", required=True)
     if sorted(l_list) != l_list:
         raise ConfigError("[grid] L must be sorted ascending")
@@ -209,7 +209,7 @@ def cmd_asymptotics(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
                  rows, meta={"epsilon": eps})
 
 
-def cmd_distribution(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
+def cmd_distribution(cfg, out: Path, fmt: str) -> None:
     L = _get_int(cfg, "system", "L", required=True)
     t = _get_float(cfg, "window", "t", required=True)
     cs = _cumulant_series(cfg, L)
@@ -231,7 +231,7 @@ def cmd_distribution(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
                              "support_edge": edge})
 
 
-def cmd_rank(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
+def cmd_rank(cfg, out: Path, fmt: str) -> None:
     L = _get_int(cfg, "system", "L", required=True)
     t = _get_float(cfg, "window", "t", required=True)
     cs = _cumulant_series(cfg, L)
@@ -283,7 +283,7 @@ def _parse_quench(cfg) -> ovl.IsingQuench:
         raise ConfigError(f"[quench]: {exc}") from exc
 
 
-def cmd_ising(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
+def cmd_ising(cfg, out: Path, fmt: str) -> None:
     quench = _parse_quench(cfg)
     t = _get_float(cfg, "window", "t", required=True)
     l_list = _get_ints(cfg, "grid", "L", required=True)
@@ -312,7 +312,7 @@ def cmd_ising(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
             # undefined and emitted as the nan sentinel
             return (L, alpha, 1.0, math.nan, math.nan, math.nan, math.nan)
         est = ovl.renyi_quadrature(f, L, 1, t, alpha, scheme=scheme,
-                                   seed=seed, rtol=rtol)
+                                   rtol=rtol)
         cs = asym.CumulantSeries(e=(0.0, e2), L=L, d=1)
         pred = asym.renyi_asymptotic(cs, t, alpha)
         pred_corr = asym.renyi_asymptotic(cs, t, alpha, with_correction=True)
@@ -370,7 +370,7 @@ def _ed_system(cfg, L: int):
     return spec, psi0
 
 
-def cmd_ed(cfg, out: Path, fmt: str, seed: int, threads: int) -> None:
+def cmd_ed(cfg, out: Path, fmt: str) -> None:
     model = _get(cfg, "system", "model", default="chaotic")
     if model == "file":
         l_list = [edm.read_hamiltonian_file(_resolve_path(
@@ -451,8 +451,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        _COMMANDS[args.verb](cfg, Path(args.out), args.format,
-                             args.seed, args.threads)
+        _COMMANDS[args.verb](cfg, Path(args.out), args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

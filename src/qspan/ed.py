@@ -18,6 +18,12 @@ thin SVD of Psi the eigenvectors. Only when a uniform window needs m >= N
 nodes is the N x N energy-basis matrix c_m conj(c_n) e^{-i(E_m-E_n)t0}
 (e^{-iDt} - 1)/(-iDt), D = E_m - E_n, diagonalized instead; that form is
 exact at any t.
+
+Site s of basis state |j> is bit L-1-s of j (site 0 the most significant,
+as in P_0 x P_1 x ...). A Pauli string with X or Y on the sites of
+flipmask and Y or Z on those of zmask maps |j> to
+i^{n_Y} (-1)^{popcount(j & zmask)} |j ^ flipmask>: a sum of them is one
+sparse assembly of signed permutations.
 """
 
 from __future__ import annotations
@@ -67,13 +73,6 @@ __all__ = [
 
 MAX_SITES = 14
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 class DegenerateGroundStateWarning(UserWarning):
     """Ground state nearly degenerate; the gauge-fixed lowest vector is used."""
 
@@ -116,7 +115,7 @@ class PauliHamiltonian:
                 if not 0 <= s < self.L:
                     raise DomainError(f"site {s} outside chain of length "
                                       f"{self.L}")
-                if o not in _PAULI:
+                if o not in ("X", "Y", "Z"):
                     raise DomainError(f"unknown Pauli label {o!r}")
             canon.append((coeff, ops))
         object.__setattr__(self, "terms", tuple(canon))
@@ -128,23 +127,30 @@ class PauliHamiltonian:
 
 def build_hamiltonian(spec: PauliHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the Pauli-string sum (2^L x 2^L)."""
-    acc = sp.csr_matrix((spec.dim, spec.dim), dtype=complex)
-    for coeff, ops in spec.terms:
-        acc = acc + coeff * _string_matrix(spec.L, ops)
-    h = acc.toarray()
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > 1e-14 * scale:
+    h = _pauli_sum(spec.L, spec.terms)
+    # checked in sparse form: the dense h - h^dag costs more than the build
+    scale = max(abs(h).max(), 1.0)
+    if abs(h - h.conj().T).max() > 1e-14 * scale:
         raise DomainError("constructed matrix is not Hermitian")
-    return h
+    return h.toarray()
 
 
-def _string_matrix(L: int, ops) -> sp.csr_matrix:
-    lookup = dict(ops)
-    out = sp.identity(1, dtype=complex, format="csr")
-    for site in range(L):
-        block = _PAULI[lookup[site]] if site in lookup else np.eye(2)
-        out = sp.kron(out, sp.csr_matrix(block), format="csr")
-    return out
+def _pauli_sum(L: int, terms) -> sp.csr_matrix:
+    """Sum of weighted Pauli strings: one signed permutation per term (see
+    the module docstring), all in one COO -> CSR build that sums repeats."""
+    def mask(ops, labels):
+        return sum(1 << (L - 1 - site) for site, op in ops if op in labels)
+
+    j = np.arange(2 ** L)
+    flip = np.array([mask(ops, "XY") for _, ops in terms], dtype=int)[:, None]
+    zmask = np.array([mask(ops, "YZ") for _, ops in terms], dtype=int)[:, None]
+    amp = np.array([c * 1j ** sum(op == "Y" for _, op in ops)
+                    for c, ops in terms], dtype=complex)[:, None]
+    vals = np.where(np.bitwise_count(j & zmask) % 2 == 1, -amp, amp)
+    rows = j ^ flip
+    cols = np.broadcast_to(j, rows.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(j.size, j.size))
 
 
 def _as_matrix(h) -> np.ndarray:
@@ -330,7 +336,7 @@ def _snapshots(sd: SpectralDecomposition, t0: float, edges: np.ndarray,
     if w is None:
         omega = omega / edges[-1]
     else:
-        omega = omega * np.array([w.density(float(s)) for s in tau])
+        omega = omega * w._sample(tau)
     phases = np.exp(-1j * np.outer(sd.energies, t0 + tau))
     return (sd.overlaps[:, None] * phases) * np.sqrt(omega)[None, :]
 
@@ -640,21 +646,12 @@ def _density_terms(spec: PauliHamiltonian) -> dict[int, list]:
     site (the wrap bond to L-1), single-site terms to their own site."""
     groups: dict[int, list] = {ell: [] for ell in range(spec.L)}
     for coeff, ops in spec.terms:
-        sites = sorted(s for s, _ in ops)
-        if len(sites) == 1:
-            ell = sites[0]
-        elif len(sites) == 2:
-            a, b = sites
-            if b - a == 1:
-                ell = a
-            elif a == 0 and b == spec.L - 1:
-                ell = b  # periodic wrap bond
-            else:
-                ell = a
-        else:
+        if len(ops) > 2:
             raise DomainError("terms spanning more than two sites cannot "
                               "be grouped into site densities")
-        groups[ell].append((coeff, ops))
+        a, b = ops[0][0], ops[-1][0]   # ops are sorted by site
+        wrap = a == 0 and b == spec.L - 1 and b - a > 1
+        groups[b if wrap else a].append((coeff, ops))
     return groups
 
 
@@ -674,12 +671,10 @@ def cumulant_density(spec: PauliHamiltonian, psi0: np.ndarray, site: int,
     if not 0 <= site < spec.L:
         raise DomainError(f"site {site} outside chain")
     groups = _density_terms(spec)
-    h_ell = sp.csr_matrix((spec.dim, spec.dim), dtype=complex)
-    for coeff, ops in groups[site]:
-        h_ell = h_ell + coeff * _string_matrix(spec.L, ops)
+    h_ell = _pauli_sum(spec.L, groups[site]).toarray()
     if sd is None:
         sd = spectral_decomposition(spec, psi0)
-    h_rot = sd.basis.conj().T @ h_ell.toarray() @ sd.basis
+    h_rot = sd.basis.conj().T @ h_ell @ sd.basis
     weight = np.outer(sd.overlaps.conj(), sd.overlaps) * h_rot
     if n == 1:
         return float(np.real(weight.sum()))

@@ -32,7 +32,12 @@ from qspan.asymptotics import (
     weighted_renyi,
     weighted_von_neumann,
 )
-from qspan.errors import DomainError, NoSolutionError, SingularPointError
+from qspan.errors import (
+    AccuracyError,
+    DomainError,
+    NoSolutionError,
+    SingularPointError,
+)
 from qspan.special import erf
 
 CS = CumulantSeries(e=(0.0, 1.0), L=100, d=1)
@@ -465,6 +470,30 @@ class TestWeightedOracle:
         ref = solve_rank_system(CS, RankQuery(0.999, t))
         assert sol.p_eps * t == pytest.approx(ref.x_eps, rel=1e-10)
         assert sol.D == pytest.approx(ref.D, rel=1e-10)
+
+    def test_rank_system_uniform_close_to_flat_top(self):
+        # p_eps sits about 4700 ulp below w: the one Newton step still
+        # resolves log(w/p_eps)
+        t = 3.0
+        sol = weighted_rank_system(CS, WeightFunction.uniform(t), 1 - 1e-6)
+        ref = solve_rank_system(CS, RankQuery(1 - 1e-6, t))
+        assert sol.D == pytest.approx(ref.D, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [1 - 1e-7, 1 - 1e-8])
+    def test_rank_system_flat_top_unresolved_raises(self, eps):
+        # p_eps within tens of ulp of (1e-7) or rounded onto (1e-8) sup w:
+        # D came out 2.6 % low or 0 without an error
+        with pytest.raises(AccuracyError) as info:
+            weighted_rank_system(CS, WeightFunction.uniform(3.0), eps)
+        assert info.value.achieved > 1e-6
+
+    @pytest.mark.parametrize("make", [_ramp, _cosine, _exponential, _kinked])
+    def test_rank_system_sloped_weight_near_total_truncation(self, make):
+        w, _ = make(2.0)
+        dims = [weighted_rank_system(CS, w, 1 - 10.0 ** -k).D
+                for k in (6, 8, 10, 12)]
+        assert all(d > 0.0 and math.isfinite(d) for d in dims)
+        assert all(b < a for a, b in zip(dims, dims[1:]))
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.999])
     def test_phi_density_on_kinked_table(self, frac):

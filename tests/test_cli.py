@@ -141,6 +141,14 @@ class TestIsingVerb:
                    str(tmp_path / "x.csv")])
         assert rc == 3
 
+    def test_unknown_scheme_exit_code(self, tmp_path):
+        cfg = self._config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("scheme = grid",
+                                               "scheme = simpson"))
+        rc = main(["ising", "--config", str(cfg), "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+
 
 class TestEdVerb:
     def test_toy_output_against_brute_force(self, tmp_path):

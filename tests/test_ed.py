@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from conftest import random_chain, random_state
@@ -46,6 +48,23 @@ def site_basis_matrix(sd, spec_t) -> np.ndarray:
     return (vecs * spec_t.eigenvalues) @ vecs.conj().T
 
 
+PAULI = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+         "Y": np.array([[0.0, -1j], [1j, 0.0]]), "Z": np.diag([1.0, -1.0])}
+
+
+def kron_oracle(L: int, terms, kron=np.kron):
+    """sum coeff P_0 (x) P_1 (x) ... (x) P_{L-1}, site 0 the leftmost
+    factor; identity on the sites a term does not name."""
+    total = 0.0
+    for coeff, ops in terms:
+        lookup = dict(ops)
+        string = np.ones((1, 1))
+        for site in range(L):
+            string = kron(string, PAULI[lookup.get(site, "I")])
+        total = total + coeff * string
+    return total
+
+
 class TestBuild:
     def test_single_site_z(self):
         h = build_hamiltonian(PauliHamiltonian(L=1, terms=((1.0, ((0, "Z"),)),)))
@@ -68,6 +87,43 @@ class TestBuild:
             PauliHamiltonian(L=2, terms=((1.0, ((5, "Z"),)),))
         with pytest.raises(DomainError):
             PauliHamiltonian(L=2, terms=((1.0, ((0, "Q"),)),))
+        with pytest.raises(DomainError):
+            PauliHamiltonian(L=2, terms=((1.0, ((0, "XY"),)),))
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_random_strings_against_kron_oracle(self, L):
+        rng = np.random.default_rng(L)
+        terms = []
+        for _ in range(3 * L):
+            sites = rng.choice(L, size=min(L, int(rng.integers(1, 3))),
+                               replace=False)
+            terms.append((float(rng.uniform(-1.0, 1.0)),
+                          tuple((int(s), str(rng.choice(["X", "Y", "Z"])))
+                                for s in sites)))
+        if L > 1:
+            terms.append((0.7, ((L - 1, "Y"), (0, "X"))))   # wrap bond
+        terms.append(terms[0])                               # repeated term
+        specs = [PauliHamiltonian(L=L, terms=tuple(terms))]
+        specs += [random_chain(L, seed=L, boundary=b)
+                  for b in ("open", "periodic")]
+        for spec in specs:
+            h = build_hamiltonian(spec)
+            assert np.abs(h - kron_oracle(L, spec.terms)).max() <= 1e-13
+
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_bundled_chains_against_kron_oracle(self, L, boundary):
+        # sparse Kronecker products: a dense one per term is 2^L x 2^L
+        kron = functools.partial(scipy.sparse.kron, format="csr")
+        for make in (chaotic_chain, chaotic_initial_chain, integrable_chain):
+            spec = make(L, boundary=boundary)
+            h = scipy.sparse.csr_matrix(build_hamiltonian(spec))
+            assert abs(h - kron_oracle(L, spec.terms, kron)).max() <= 1e-13
+
+    def test_no_terms_is_zero_matrix(self):
+        h = build_hamiltonian(PauliHamiltonian(L=2, terms=()))
+        assert h.shape == (4, 4)
+        assert not np.any(h)
 
 
 class TestGroundState:
@@ -491,6 +547,11 @@ class TestCumulantDensity:
         assert np.allclose(dens_z[0::2], dens_z[0], atol=1e-12)
         assert np.allclose(dens_z[1::2], dens_z[1], atol=1e-12)
         assert abs(dens_z[0] - dens_z[1]) == pytest.approx(0.6, abs=1e-10)
+
+    def test_site_without_terms(self):
+        # the last site of an open chain owns no bond
+        assert cumulant_density(integrable_chain(4, boundary="open"),
+                                polarized_state(4, "x"), 3, 2) == 0.0
 
     def test_rejects_long_range_terms(self):
         spec = PauliHamiltonian(
