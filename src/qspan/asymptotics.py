@@ -34,6 +34,7 @@ from .errors import (
     NoSolutionError,
     SingularPointError,
 )
+from .special import _gauss_legendre
 from .special import (  # perfbench/tracing.py patches each name bound here
     adaptive_simpson,
     correction_integral,
@@ -473,10 +474,9 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     panel end becomes linear in u and a 1/sqrt one is cancelled by the
     Jacobian 6u(1 - u): both integrate at the rate of a smooth function.
     """
-    x, wts = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
+    u, wts = _gauss_legendre(n)
     s = u * u * (3.0 - 2.0 * u)
-    ds = 3.0 * u * (1.0 - u) * wts
+    ds = 6.0 * u * (1.0 - u) * wts
     s.setflags(write=False)
     ds.setflags(write=False)
     return s, ds
@@ -510,8 +510,9 @@ def _panel_integral(w: WeightFunction, integrand, levels=(),
     times int |integrand|. If the change grows instead, the nodes have
     reached the integrand's rounding noise, and the estimate before is
     returned when its change was within `floor` times int |integrand|.
-    AccuracyError is raised if 4096 nodes settle neither way (an undeclared
-    kink or jump of the density).
+    AccuracyError is raised if 4096 nodes settle neither way: the density
+    has a kink or jump not declared as a breakpoint, or a level lies within
+    rounding of a density maximum, where log(w/p) is rounding noise.
     """
     edges = {0.0, w.t}
     edges.update(bp for bp in w.breakpoints if 0.0 < bp < w.t)
@@ -538,9 +539,10 @@ def _panel_integral(w: WeightFunction, integrand, levels=(),
         prev = total
         n *= 2
     raise AccuracyError(
-        f"panel quadrature did not settle with {_N_CAP} nodes per panel; "
-        "declare the density's kinks as breakpoints",
-        value=prev, achieved=last)
+        f"panel quadrature did not settle with {_N_CAP} nodes per panel: "
+        f"last change {last:.2e} against scale {scale:.2e}; either the "
+        "density has a kink not declared as a breakpoint, or a level lies "
+        "within rounding of a density maximum", value=prev, achieved=last)
 
 
 def _weight_power_integral(w: WeightFunction, alpha: float) -> float:
@@ -647,8 +649,13 @@ def weighted_rank_system(cs: CumulantSeries, w: WeightFunction,
     finder is carried into D as a shift of log(w/p_eps), since as eps -> 1
     D resolves log(w/p_eps) more finely than a double holds p_eps; where
     the step is not small against log(sup w / p_eps) (a flat weight from
-    eps ~ 1 - 1e-7) AccuracyError is raised. The uniform weight reproduces
-    the plain rank system with p = x/t.
+    eps ~ 1 - 1e-7) AccuracyError is raised.
+
+    The uniform weight reproduces the plain rank system (p = x/t) only
+    when Omega t >= 1. Below that its density 1/t exceeds Omega, the cap
+    min(w, Omega) keeps every eigenvalue lambda = p/Omega at most 1, and
+    D = (2 Omega t / sqrt(pi)) [erfinv(1 - eps) - sqrt(log(1/(Omega t)))]
+    is smaller than `solve_rank_system`'s, whose law has no such cap.
     """
     if not 0.0 < eps < 1.0:
         raise NoSolutionError("eps must lie in (0,1)")

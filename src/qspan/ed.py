@@ -13,11 +13,13 @@ cumulants per site together with their spatial densities.
 The nonzero spectrum of rho_bar is that of the snapshot matrix
 Psi_{ni} = c_n e^{-i E_n (t0 + tau_i)} sqrt(omega_i) on m Gauss-Legendre
 nodes tau_i of the window (weights omega_i with the density folded in):
-eigvalsh of the m x m Gram matrix Psi^dag Psi gives the eigenvalues, a
-thin SVD of Psi the eigenvectors. Only when a uniform window needs m >= N
-nodes is the N x N energy-basis matrix c_m conj(c_n) e^{-i(E_m-E_n)t0}
-(e^{-iDt} - 1)/(-iDt), D = E_m - E_n, diagonalized instead; that form is
-exact at any t.
+the window core `overlap._window_spectrum` takes the eigenvalues from the
+smaller Gram side (Psi^dag Psi or Psi Psi^dag) and settles m by the purity
+rule it shares with `overlap.moments_quadrature`; a thin SVD of Psi at the
+settled nodes gives the eigenvectors. Only when a uniform window needs
+m >= N nodes is the N x N energy-basis matrix c_m conj(c_n)
+e^{-i(E_m-E_n)t0} (e^{-iDt} - 1)/(-iDt), D = E_m - E_n, diagonalized
+instead; that form is exact at any t and its memory does not grow with t.
 
 Site s of basis state |j> is bit L-1-s of j (site 0 the most significant,
 as in P_0 x P_1 x ...). A Pauli string with X or Y on the sites of
@@ -36,10 +38,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.special
 
 from .asymptotics import WeightFunction
 from .errors import AccuracyError, ConfigError, DomainError, SizeError
+from .overlap import _M_START, _window_spectrum
 from .special import erf_inv
 
 __all__ = [
@@ -291,9 +293,7 @@ class AveragedStateSpectrum:
         return float(np.sum(self.eigenvalues ** 2))
 
 
-_M_MIN = 32          # fewest snapshots of a window
 _PANEL_MIN = 8       # fewest snapshots of a weighted-window panel
-_SETTLE = 1e-12      # top eigenvalues at m and m/2 agree to this (absolute)
 _WEIGHTED_CAP = 8    # weighted windows stop doubling beyond this many N
 
 
@@ -322,34 +322,11 @@ def _closed_form(sd: SpectralDecomposition, t0: float, t: float,
     return vals[::-1], vecs[:, ::-1]
 
 
-def _snapshots(sd: SpectralDecomposition, t0: float, edges: np.ndarray,
-               counts: np.ndarray, w: WeightFunction | None) -> np.ndarray:
-    """Snapshot matrix Psi_{ni} = c_n e^{-iE_n(t0 + tau_i)} sqrt(omega_i),
-    with counts[k] Gauss-Legendre nodes on panel [edges[k], edges[k+1]]."""
-    taus, omegas = [], []
-    for a, b, n in zip(edges[:-1], edges[1:], counts):
-        x, g = scipy.special.roots_legendre(int(n))
-        taus.append(a + 0.5 * (b - a) * (x + 1.0))
-        omegas.append(0.5 * (b - a) * g)
-    tau = np.concatenate(taus)
-    omega = np.concatenate(omegas)
-    if w is None:
-        omega = omega / edges[-1]
-    else:
-        omega = omega * w._sample(tau)
+def _snapshots(sd: SpectralDecomposition, t0: float, tau: np.ndarray,
+               omega: np.ndarray) -> np.ndarray:
+    """Snapshot matrix Psi_{ni} = c_n e^{-iE_n(t0 + tau_i)} sqrt(omega_i)."""
     phases = np.exp(-1j * np.outer(sd.energies, t0 + tau))
     return (sd.overlaps[:, None] * phases) * np.sqrt(omega)[None, :]
-
-
-def _snapshot_spectrum(psi: np.ndarray, want_vectors: bool):
-    """Descending eigenvalues of Psi Psi^dag from the smaller Gram side, or
-    with orthonormal eigenvectors from a thin SVD of Psi."""
-    if want_vectors:
-        u, s, _ = np.linalg.svd(psi, full_matrices=False)
-        return s ** 2, u
-    n, m = psi.shape
-    gram = psi.conj().T @ psi if m < n else psi @ psi.conj().T
-    return np.linalg.eigvalsh(gram)[::-1], None
 
 
 def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
@@ -357,18 +334,21 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
                    want_vectors: bool = False) -> AveragedStateSpectrum:
     """Spectrum of the state averaged over [t0, t0 + t].
 
-    `w = None` means the uniform window. The spectrum comes from the
-    snapshot matrix on m Gauss-Legendre nodes (composite panels split at
-    `w.breakpoints` for a weighted window), with m >= (E_max - E_min) t / 2
-    chosen a priori and confirmed by the top eigenvalues at m/2 agreeing
-    to 1e-12 absolute (else m doubles). A uniform window that needs
-    m >= N nodes uses the exact N x N closed form instead; a weighted one
-    that has not settled by 8 N nodes raises AccuracyError.
+    `w = None` means the uniform window. The spectrum is that of the
+    snapshot Gram matrix on m Gauss-Legendre nodes (composite panels split
+    at `w.breakpoints` for a weighted window), taken from the window core
+    `overlap._window_spectrum`: m starts at max(32, (E_max - E_min) t / 2)
+    and doubles until the purity at m/2 and at m agrees to 1e-11 relative.
+    A uniform window that needs m >= N nodes, before the first solve or
+    when the doubling reaches N, uses the exact N x N closed form instead,
+    the only path whose memory does not grow with t; a weighted one that
+    has not settled by 8 N nodes raises AccuracyError.
 
     Eigenvalues are returned descending and padded with zeros to N, with
     values in [-1e-12, 0) clamped to zero; eigenvectors (energy-basis
-    columns, same order) are attached on request. The snapshot columns
-    come from an SVD, so they are orthonormal by construction.
+    columns, same order) are attached on request. Snapshot vectors come
+    from one thin SVD at the settled node set, so they are orthonormal by
+    construction.
     """
     if t <= 0:
         raise DomainError("window width t must be positive")
@@ -380,29 +360,31 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
         edges = np.unique(np.clip([0.0, *w.breakpoints, t], 0.0, t))
     dim = sd.dim
     width = float(sd.energies[-1] - sd.energies[0])
-    m = max(_M_MIN, math.ceil(width * t / 2.0))
-    counts = np.maximum(_PANEL_MIN, np.ceil(m * np.diff(edges) / t)).astype(int)
-    coarse = None
-    while True:
-        nodes = int(counts.sum())
-        if w is None and nodes >= dim:
-            vals, vecs = _closed_form(sd, t0, t, want_vectors)
-            nodes = 0
-            break
-        if coarse is None:
-            coarse, _ = _snapshot_spectrum(
-                _snapshots(sd, t0, edges, (counts + 1) // 2, w), False)
-        vals, vecs = _snapshot_spectrum(_snapshots(sd, t0, edges, counts, w),
-                                        want_vectors)
-        k = coarse.size
-        settle = float(np.abs(vals[:k] - coarse).max())
-        if settle <= _SETTLE:
-            break
-        if nodes >= _WEIGHTED_CAP * dim:
-            raise AccuracyError(
-                f"averaged-state spectrum changed by {settle:.2e} from "
-                f"{nodes // 2} to {nodes} nodes", achieved=settle)
-        coarse, counts = vals, 2 * counts
+    m = max(_M_START, math.ceil(width * t / 2.0))
+    counts = np.maximum(_PANEL_MIN, np.ceil(m * np.diff(edges) / t))
+
+    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        psi = _snapshots(sd, t0, tau, omega)   # the smaller Gram side
+        return psi.conj().T @ psi if tau.size < dim else psi @ psi.conj().T
+
+    spec = None
+    if w is not None or counts.sum() < dim:
+        spec = _window_spectrum(gram, edges, counts,
+                                None if w is None else w._sample,
+                                dim - 1 if w is None else _WEIGHTED_CAP * dim)
+    if spec is not None and spec.settled:
+        vals, vecs, nodes = spec.values, None, spec.tau.size
+        if want_vectors:
+            vecs = np.linalg.svd(_snapshots(sd, t0, spec.tau, spec.omega),
+                                 full_matrices=False)[0]
+    elif w is None:
+        vals, vecs = _closed_form(sd, t0, t, want_vectors)
+        nodes = 0
+    else:
+        change = abs(spec.values @ spec.values - spec.coarse @ spec.coarse)
+        raise AccuracyError(
+            f"averaged-state purity changed by {change:.2e} from "
+            f"{spec.tau.size // 2} to {spec.tau.size} nodes", achieved=change)
     vals = np.where((vals < 0) & (vals > -1e-12), 0.0, vals)
     vals = np.concatenate([vals, np.zeros(dim - vals.size)])
     total = float(vals.sum())

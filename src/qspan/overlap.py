@@ -15,7 +15,9 @@ Rather than integrating over the window, `moments_quadrature` takes the
 spectrum of rho_bar itself: its nonzero eigenvalues are those of the Gram
 kernel exp(-L^d f(tau - tau'))/t on [0, t], discretized on Gauss-Legendre
 nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
-[0, t] and converges exponentially in the node count.
+[0, t] and converges exponentially in the node count. The window-spectrum
+core `_window_spectrum` (node rule, purity settle test, doubling) is shared
+with `ed.averaged_state`, which feeds it the snapshot Gram matrix instead.
 
 For the transverse-field Ising chain after a field quench h_i -> h_f the
 free energy is available in closed form as a single mode integral, which is
@@ -29,13 +31,13 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, DomainError
+from .special import _gauss_legendre
 
 __all__ = [
     "IsingQuench",
@@ -128,20 +130,19 @@ def ising_dispersion(q: IsingQuench, k):
     return eps, cos_delta
 
 
-def _simpson_nodes(q: IsingQuench):
+def _ising_modes(q: IsingQuench):
+    """Mode energies, Bogoliubov-angle cosines and composite-Simpson weights
+    on the k_grid momenta of [0, pi]."""
     n = q.k_grid + (q.k_grid % 2)
     k = np.linspace(0.0, math.pi, n + 1)
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     w *= math.pi / n / 3.0
-    return k, w
-
-
-def _log_arguments(q: IsingQuench, t, eps, cos_delta):
-    """Per-mode log argument (1+cos)/2 + (1-cos)/2 e^{2 i eps t}."""
-    c = 0.5 * (1.0 + cos_delta)
-    return c + (1.0 - c) * np.exp(2j * np.outer(np.atleast_1d(t), eps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GapClosingWarning)
+        eps, cos_delta = ising_dispersion(q, k)
+    return eps, cos_delta, w
 
 
 def _mode_log_sum(eps, cos_delta, w):
@@ -189,17 +190,14 @@ def ising_f(q: IsingQuench, t: float) -> complex:
 
     f(t) = -int_0^pi dk/2pi log[(1+cos Delta_k)/2 + (1-cos Delta_k)/2
     e^{2 i eps_k t}] with each momentum's log continuous in t from
-    log 1 = 0 (`_mode_log_sum`); the overall minus makes Re f >= 0 under
-    the overlap convention exp(-L^d f). Warns when the integrand crosses
-    the negative real axis between grid momenta.
+    log 1 = 0, evaluated by `DynamicalFreeEnergy.from_ising`; the overall
+    minus makes Re f >= 0 under the overlap convention exp(-L^d f). Warns
+    when the integrand crosses the negative real axis between grid momenta.
     """
-    k, w = _simpson_nodes(q)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GapClosingWarning)
-        eps, cos_delta = ising_dispersion(q, k)
-    _warn_on_branch_crossing(_log_arguments(q, float(t), eps, cos_delta)[0])
-    log_sum = _mode_log_sum(eps, cos_delta, w)
-    return complex(-log_sum([float(t)])[0] / (2.0 * math.pi))
+    eps, cos_delta, _ = _ising_modes(q)
+    c = 0.5 * (1.0 + cos_delta)
+    _warn_on_branch_crossing(c + (1.0 - c) * np.exp(2j * eps * float(t)))
+    return DynamicalFreeEnergy.from_ising(q)(float(t))
 
 
 def _warn_on_branch_crossing(z: np.ndarray) -> None:
@@ -255,11 +253,8 @@ class DynamicalFreeEnergy:
 
     @classmethod
     def from_ising(cls, q: IsingQuench) -> "DynamicalFreeEnergy":
-        k, w = _simpson_nodes(q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GapClosingWarning)
-            eps, cos_delta = ising_dispersion(q, k)
-
+        """Mode sum of `ising_f`, evaluated in chunks of times."""
+        eps, cos_delta, w = _ising_modes(q)
         log_sum = _mode_log_sum(eps, cos_delta, w)
 
         def eval_many(ts, _n=eps.size):
@@ -359,31 +354,55 @@ def _rough_e2(f: DynamicalFreeEnergy, t: float) -> float:
     return max(val, 1e-12)
 
 
-_M_START = 32       # first Nystrom node count
+_M_START = 32       # fewest nodes of a window
 _M_CAP = 2048       # eigvalsh of the cap takes seconds
-_SETTLE = 1e-11     # relative change from m/2 to m that ends the doubling
-_ROUNDOFF = 1e-12   # relative floor; leggauss(2048) weights alone err by 2e-13
+_SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
+_ROUNDOFF = 1e-12   # relative round-off floor of a moment
 
 
-@lru_cache(maxsize=8)   # m runs over the powers of two up to _M_CAP
-def _unit_gauss_legendre(m: int):
-    """Read-only Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+class _WindowSpectrum(NamedTuple):
+    values: np.ndarray    # descending, on the fine node set tau
+    coarse: np.ndarray    # descending, on half the nodes
+    tau: np.ndarray
+    omega: np.ndarray     # weights of tau, density folded in
+    settled: bool         # False when the cap ended the doubling
 
 
-def _window_spectrum(spline, sites: float, t: float, m: int) -> np.ndarray:
-    """Eigenvalues of the m-node Nystrom Gram kernel of rho_bar."""
-    x, w = _unit_gauss_legendre(m)
-    lag = t * (x[:, None] - x[None, :])
-    fd = spline(np.abs(lag))
-    fd = np.where(lag >= 0, fd, np.conj(fd))
-    root_w = np.sqrt(w)
-    kernel = root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
-    return np.clip(np.linalg.eigvalsh(kernel), 0.0, None)
+def _window_spectrum(gram, edges, counts, density=None,
+                     cap: int = _M_CAP) -> _WindowSpectrum:
+    """Spectrum of rho_bar = int omega(tau) |Psi_tau><Psi_tau| dtau, shared
+    by `moments_quadrature` and `ed.averaged_state`.
+
+    Its nonzero eigenvalues are those of the Gram kernel
+    sqrt(omega_i) G(tau_i - tau_j) sqrt(omega_j), G(s) = <Psi_s|Psi_0>, on
+    composite Gauss-Legendre nodes tau_i, counts[k] of them on panel
+    [edges[k], edges[k+1]], with the density (1/t when None) folded into
+    the weights omega_i. `gram(tau, omega)` returns a Hermitian matrix with
+    that nonzero spectrum. It is solved at ceil(counts/2) and at counts,
+    and both double until the purity sum lambda^2 agrees to _SETTLE
+    relative (one rule for every moment), or until a doubling would pass
+    `cap` nodes in all.
+    """
+    counts = np.asarray(counts, dtype=int)
+    width = np.diff(edges)
+
+    def solve(n: np.ndarray):
+        rules = [_gauss_legendre(int(k)) for k in n]
+        tau = np.concatenate([a + h * x for a, h, (x, _)
+                              in zip(edges[:-1], width, rules)])
+        omega = np.concatenate([h * g for h, (_, g) in zip(width, rules)])
+        omega = omega / width.sum() if density is None \
+            else omega * density(tau)
+        return np.linalg.eigvalsh(gram(tau, omega))[::-1], tau, omega
+
+    coarse, _, _ = solve((counts + 1) // 2)
+    while True:
+        values, tau, omega = solve(counts)
+        purity = float(values @ values)
+        settled = abs(purity - float(coarse @ coarse)) <= _SETTLE * purity
+        if settled or 2 * tau.size > cap:
+            return _WindowSpectrum(values, coarse, tau, omega, settled)
+        coarse, counts = values, 2 * counts
 
 
 def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
@@ -395,11 +414,12 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     The nonzero spectrum of rho_bar is that of the Hermitian Gram kernel
     K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
     nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
-    for this analytic kernel), so the moment is sum_i lambda_i^alpha from one
-    `eigvalsh`, with f needed on [0, t] only (`f.table(t)`). m starts at 32,
-    doubles until it reaches sqrt(L^d e2) t, then doubles until the moment
-    changes by at most 1e-11 relative from m/2 to m, or m reaches 2048.
-    `error` is that last change plus a round-off floor of 1e-12 relative.
+    for this analytic kernel), so the moment is sum_i lambda_i^alpha from
+    `_window_spectrum`, with f needed on [0, t] only (`f.table(t)`). m
+    starts at 32 and doubles until it reaches sqrt(L^d e2) t; from there the
+    spectrum at m and 2m nodes doubles until the purities agree to 1e-11
+    relative, or 2048 nodes are reached. `error` is the change of the moment
+    from the last m/2 to m plus a round-off floor of 1e-12 relative.
 
     `scheme` must be "auto", "grid" or "mc"; it, `seed`, `n_gl` and
     `n_samples` are accepted for compatibility and change nothing.
@@ -414,23 +434,23 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     sites = float(L) ** d
     spline = f.table(t)
 
-    def moment(m: int) -> float:
-        return float(np.sum(_window_spectrum(spline, sites, t, m) ** alpha))
+    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        lag = tau[:, None] - tau[None, :]
+        fd = spline(np.abs(lag))
+        fd = np.where(lag >= 0, fd, np.conj(fd))
+        root_w = np.sqrt(omega)
+        return root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
 
     width = math.sqrt(sites * _rough_e2(f, t)) * t
     m = _M_START
     while m < width and 2 * m < _M_CAP:
         m *= 2
-    value = moment(m)
-    while True:
-        m *= 2
-        prev, value = value, moment(m)
-        settle = abs(value - prev)
-        if settle <= _SETTLE * value or m >= _M_CAP:
-            break
-
+    spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m])
+    value, prev = (float(np.sum(np.clip(v, 0.0, None) ** alpha))
+                   for v in (spec.values, spec.coarse))
+    err = abs(value - prev)
     value = min(value, 1.0)
-    err = settle + _ROUNDOFF * value
+    err += _ROUNDOFF * value
     if rtol is not None and err > rtol * abs(value):
         raise AccuracyError(
             f"moment accuracy {err / max(abs(value), 1e-300):.2e} "

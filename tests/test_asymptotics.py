@@ -350,6 +350,23 @@ class TestWeighted:
         assert sol_w.p_eps * t == pytest.approx(sol.x_eps, rel=1e-8)
         assert sol_w.D == pytest.approx(sol.D, rel=1e-8)
 
+    def test_rank_system_uniform_below_unit_omega_t(self):
+        # Omega t = 0.8 < 1: the weighted law caps eigenvalues at 1 and
+        # drops sqrt(log(1/(Omega t))) from every retained level
+        t, eps = 0.2, 0.1
+        sol_w = weighted_rank_system(CS, WeightFunction.uniform(t), eps)
+        sol = solve_rank_system(CS, RankQuery(eps, t))
+        cap = math.sqrt(math.log(1.0 / (CS.omega * t)))
+        u = scipy.special.erfinv(1.0 - eps)
+        assert sol_w.D == pytest.approx(
+            2.0 * CS.omega * t / math.sqrt(math.pi) * (u - cap), rel=1e-9)
+        assert sol_w.D == pytest.approx(0.619, abs=1e-3)
+        assert sol.D == pytest.approx(1.047, abs=1e-3)
+        # Omega t = 8 >= 1: the two rank systems agree
+        sol_w = weighted_rank_system(CS, WeightFunction.uniform(2.0), eps)
+        sol = solve_rank_system(CS, RankQuery(eps, 2.0))
+        assert sol_w.D == pytest.approx(sol.D, rel=1e-9)
+
     def test_rank_monotone_in_eps(self):
         for w in (ramp_weight(2.0), cosine_bump_weight(2.0),
                   truncated_exponential_weight(2.0)):
@@ -486,6 +503,15 @@ class TestWeightedOracle:
         with pytest.raises(AccuracyError) as info:
             weighted_rank_system(CS, WeightFunction.uniform(3.0), eps)
         assert info.value.achieved > 1e-6
+
+    def test_panel_error_names_both_causes(self):
+        # a smooth weight whose level p_eps lies within rounding of its
+        # maximum: the message must not blame a kink alone
+        with pytest.raises(AccuracyError) as info:
+            weighted_rank_system(CS, cosine_bump_weight(3.0), 1 - 1e-12)
+        msg = str(info.value)
+        assert "against scale" in msg
+        assert "kink" in msg and "rounding of a density maximum" in msg
 
     @pytest.mark.parametrize("make", [_ramp, _cosine, _exponential, _kinked])
     def test_rank_system_sloped_weight_near_total_truncation(self, make):

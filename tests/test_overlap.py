@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qspan import ed
 from qspan.asymptotics import CumulantSeries, moment_asymptotic, moment_with_correction
 from qspan.errors import AccuracyError, DomainError
 from qspan.overlap import (
@@ -345,3 +346,40 @@ class TestRenyiQuadrature:
                 for L in (100, 1000, 10000)]
         steps = np.diff(vals)
         assert np.allclose(steps, 0.5 * math.log(10), atol=0.05)
+
+
+def _ed_free_energy(sd, L: int, t: float) -> DynamicalFreeEnergy:
+    """f = -log G / L tabulated from an ED chain's return amplitude
+    G(s) = <Psi_s|Psi_0> = sum |c_n|^2 e^{i E_n s}, phase unwrapped."""
+    s = np.linspace(0.0, t, 8001)
+    g = np.exp(1j * np.outer(s, sd.energies)) @ (np.abs(sd.overlaps) ** 2)
+    log_g = np.log(np.abs(g)) + 1j * np.unwrap(np.angle(g))
+    return DynamicalFreeEnergy.from_table(s, -log_g / L)
+
+
+class TestOneWindowCore:
+    """`ed.averaged_state` and `moments_quadrature` share the window core:
+    the Nystrom moments of the ED chain's own free energy are the moments
+    of its averaged-state spectrum."""
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        chaotic = ed.chaotic_chain(10, J=0.9, boundary="open")
+        psi0 = ed.ground_state(
+            ed.chaotic_initial_chain(10, J=0.9, boundary="open"))
+        return {
+            8: ed.spectral_decomposition(ed.integrable_chain(8, J=1.1),
+                                         ed.polarized_state(8, "x")),
+            10: ed.spectral_decomposition(chaotic, psi0),
+        }
+
+    @pytest.mark.parametrize("L, t", [(8, 0.8), (8, 2.0), (10, 1.5)])
+    def test_moments_match_averaged_state(self, chains, L, t):
+        sd = chains[L]
+        f = _ed_free_energy(sd, L, t)
+        spec_t = ed.averaged_state(sd, 0.0, t)
+        assert 0 < spec_t.nodes < sd.dim
+        for alpha in (2, 3, 4):
+            est = moments_quadrature(f, L, 1, t, alpha)
+            ref = float(np.sum(spec_t.eigenvalues ** alpha))
+            assert abs(est.value - ref) <= est.error

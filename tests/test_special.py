@@ -7,7 +7,6 @@ import scipy.special
 
 from qspan.errors import DomainError, SingularPointError
 from qspan.special import (
-    Tolerance,
     adaptive_simpson,
     correction_integral,
     erf,
@@ -153,32 +152,32 @@ class TestCorrectionIntegral:
         b = correction_integral(2, rng_seed=99)
         assert abs(a.value - b.value) <= 3 * math.hypot(a.error, b.error) + 1e-15
 
-    def test_monte_carlo_seeds_agree(self):
-        a = correction_integral(5, rng_seed=0)
-        b = correction_integral(5, rng_seed=1)
-        assert a.error > 0
-        assert abs(a.value - b.value) <= 3 * math.hypot(a.error, b.error)
+    def test_alpha3_analytic(self):
+        val, err = correction_integral(3)
+        assert err < 1e-10
+        assert abs(val - SQRT_PI) <= err
 
-    def test_monte_carlo_deterministic(self):
-        assert correction_integral(5, 7) == correction_integral(5, 7)
+    def test_alpha5_converges(self):
+        # tensor Gauss-Legendre on [0, 14]^4 at two node counts
+        def tensor(n):
+            x, w = scipy.special.roots_legendre(n)
+            y, w = 7.0 * (x + 1.0), 7.0 * w
+            y1, y2, y3, y4 = np.meshgrid(y, y, y, y, indexing="ij",
+                                         sparse=True)
+            q = y1 ** 2 + (y1 - y2) ** 2 + (y2 - y3) ** 2 \
+                + (y3 - y4) ** 2 + y4 ** 2
+            vals = 4.0 * y1 * np.exp(-0.5 * q)
+            return float(np.einsum("ijkl,i,j,k,l->", vals, w, w, w, w))
+
+        hi, lo = tensor(40), tensor(32)
+        val, err = correction_integral(5)
+        assert err < 1e-10 * val
+        assert abs(val - hi) <= 3 * err + abs(hi - lo)
 
     @pytest.mark.parametrize("bad", [1, 0, 2.5])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             correction_integral(bad)
-
-
-class TestTolerance:
-    def test_needs_positive(self):
-        with pytest.raises(DomainError):
-            Tolerance()
-        with pytest.raises(DomainError):
-            Tolerance(abs=-1e-3)
-
-    def test_satisfied(self):
-        tol = Tolerance(rel=1e-3)
-        assert tol.satisfied(1e-4, 1.0)
-        assert not tol.satisfied(1e-2, 1.0)
 
 
 class TestAdaptiveSimpson:
