@@ -19,6 +19,15 @@ nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
 core `_window_spectrum` (node rule, purity settle test, doubling) is shared
 with `ed.averaged_state`, which feeds it the snapshot Gram matrix instead.
 
+f is read from a cached cubic spline (`DynamicalFreeEnergy.table`). Without
+an accuracy target it has 4096 knots per unit time. With `rtol` the table
+follows an error budget of rtol * value / 10 instead: f is also evaluated at
+the knot midpoints, the spline's deviation there weighted by the kernel's
+sensitivity L^d |exp(-L^d f)| bounds the moment change, and the density
+doubles from 256 per unit (the checked midpoints becoming knots) until that
+bound fits the budget or 4096 per unit is reached. The bound is part of the
+reported error.
+
 For the transverse-field Ising chain after a field quench h_i -> h_f the
 free energy is available in closed form as a single mode integral, which is
 what `IsingQuench` evaluates (sums over discrete momenta are replaced by
@@ -219,6 +228,10 @@ def _warn_on_branch_crossing(z: np.ndarray) -> None:
 # Dynamical free energy evaluators
 # ---------------------------------------------------------------------------
 
+_PPU_START = 256    # knots per unit time of the first checked f-table
+_PPU_CAP = 4096     # densest checked table; the plain tables' density
+
+
 class DynamicalFreeEnergy:
     """Evaluator for f(t) = -L^{-d} log <Psi_t|Psi_0>.
 
@@ -300,23 +313,86 @@ class DynamicalFreeEnergy:
             return complex(out)
         return out
 
-    def table(self, u_max: float, points_per_unit: int = 4096) -> CubicSpline:
+    def table(self, u_max: float, points_per_unit: int = _PPU_CAP, *,
+              checked: bool = False):
         """Cached spline of f on [0, u_max] for fast bulk evaluation.
 
         Resolution is fixed per unit time, so a wider cached table serves
         any narrower request of equal or lower density. Concurrent callers
         build each table once.
+
+        With `checked=True` the table also evaluates f directly at its knot
+        midpoints and returns a `_CheckedTable`, whose `interpolation_bound`
+        sizes the table against an error budget (`moments_quadrature` with
+        `rtol`). A density above `_PPU_START` is built from the table at
+        half of it: the checked midpoints become the new knots, so f is never
+        evaluated twice at one point. Checked and plain tables are cached
+        side by side and never serve each other.
         """
         with self._tables_lock:
-            for (cached_umax, cached_ppu), spline in self._tables.items():
-                if cached_umax >= u_max * (1 - 1e-12) \
-                        and cached_ppu >= 0.9 * points_per_unit:
-                    return spline
+            return self._table(u_max, points_per_unit, checked)
+
+    def _table(self, u_max: float, points_per_unit: int, checked: bool):
+        for (cached_umax, cached_ppu, cached_checked), tab \
+                in self._tables.items():
+            if cached_checked == checked \
+                    and cached_umax >= u_max * (1 - 1e-12) \
+                    and cached_ppu >= 0.9 * points_per_unit:
+                return tab
+        if checked and points_per_unit > _PPU_START:
+            half = self._table(u_max, points_per_unit // 2, True)
+            u_max = float(half.knots[-1])
+            knots = _interleave(half.knots, half.midpoints)
+            values = _interleave(half.values, half.mid_values)
+        else:
             n = max(129, int(math.ceil(points_per_unit * u_max)) + 1)
-            grid = np.linspace(0.0, u_max, n)
-            spline = CubicSpline(grid, self._eval_many(grid))
-            self._tables[(u_max, points_per_unit)] = spline
-            return spline
+            knots = np.linspace(0.0, u_max, n)
+            values = self._eval_many(knots)
+        tab = CubicSpline(knots, values)
+        if checked:
+            midpoints = 0.5 * (knots[:-1] + knots[1:])
+            mid_values = self._eval_many(midpoints)
+            re_f = values.real
+            tab = _CheckedTable(
+                tab, knots, values, midpoints, mid_values,
+                np.abs(tab(midpoints) - mid_values),
+                np.minimum(np.minimum(re_f[:-1], re_f[1:]), mid_values.real))
+        self._tables[(u_max, points_per_unit, checked)] = tab
+        return tab
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], ..., b[-1], a[-1] for len(b) == len(a) - 1."""
+    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+class _CheckedTable(NamedTuple):
+    """An f-table with f also evaluated at its knot midpoints."""
+    spline: CubicSpline
+    knots: np.ndarray
+    values: np.ndarray       # f at the knots
+    midpoints: np.ndarray
+    mid_values: np.ndarray   # f at the midpoints, evaluated directly
+    deviation: np.ndarray    # |spline - f| at each midpoint
+    re_min: np.ndarray       # least Re f at each interval's knots and midpoint
+
+    def interpolation_bound(self, sites: float, t: float) -> float:
+        """max over lags s in [0, t] of sites |S(s) - f(s)| e^{-sites Re f(s)}.
+
+        To first order in S - f this bounds t times every entry change of
+        the Gram kernel exp(-sites f)/t when the spline S replaces f, so it
+        bounds the kernel's operator-norm change; as the kernel is positive
+        semidefinite with unit trace, alpha times it bounds the change of
+        tr K^alpha. Each interval is represented by its midpoint, where a
+        cubic spline's error peaks, and by the least Re f of its knots and
+        midpoint.
+        """
+        use = self.knots[:-1] < t
+        return float(np.max(sites * self.deviation[use]
+                            * np.exp(-sites * self.re_min[use])))
 
 
 def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
@@ -368,8 +444,9 @@ class _WindowSpectrum(NamedTuple):
     settled: bool         # False when the cap ended the doubling
 
 
-def _window_spectrum(gram, edges, counts, density=None,
-                     cap: int = _M_CAP) -> _WindowSpectrum:
+def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
+                     settle: float = _SETTLE,
+                     floor: float = 0.0) -> _WindowSpectrum:
     """Spectrum of rho_bar = int omega(tau) |Psi_tau><Psi_tau| dtau, shared
     by `moments_quadrature` and `ed.averaged_state`.
 
@@ -379,9 +456,13 @@ def _window_spectrum(gram, edges, counts, density=None,
     [edges[k], edges[k+1]], with the density (1/t when None) folded into
     the weights omega_i. `gram(tau, omega)` returns a Hermitian matrix with
     that nonzero spectrum. It is solved at ceil(counts/2) and at counts,
-    and both double until the purity sum lambda^2 agrees to _SETTLE
-    relative (one rule for every moment), or until a doubling would pass
-    `cap` nodes in all.
+    and both double until the purity sum lambda^2 agrees to `settle`
+    relative plus `floor` (one rule for every moment), or until a doubling
+    would pass `cap` nodes in all. `settle` is 1e-11 and `floor` 0 for an
+    analytic G. A G interpolated by a cubic spline is only C^2: its
+    spectrum settles algebraically in the node count and the purity change
+    stalls at a level set by the spline's error, so the caller loosens
+    `settle` to its error budget and sets `floor` to that error.
     """
     counts = np.asarray(counts, dtype=int)
     width = np.diff(edges)
@@ -399,7 +480,8 @@ def _window_spectrum(gram, edges, counts, density=None,
     while True:
         values, tau, omega = solve(counts)
         purity = float(values @ values)
-        settled = abs(purity - float(coarse @ coarse)) <= _SETTLE * purity
+        settled = abs(purity - float(coarse @ coarse)) \
+            <= settle * purity + floor
         if settled or 2 * tau.size > cap:
             return _WindowSpectrum(values, coarse, tau, omega, settled)
         coarse, counts = values, 2 * counts
@@ -415,15 +497,24 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
     nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
     for this analytic kernel), so the moment is sum_i lambda_i^alpha from
-    `_window_spectrum`, with f needed on [0, t] only (`f.table(t)`). m
-    starts at 32 and doubles until it reaches sqrt(L^d e2) t; from there the
-    spectrum at m and 2m nodes doubles until the purities agree to 1e-11
-    relative, or 2048 nodes are reached. `error` is the change of the moment
-    from the last m/2 to m plus a round-off floor of 1e-12 relative.
+    `_window_spectrum`, with f needed on [0, t] only. m starts at 32 and
+    doubles until it reaches sqrt(L^d e2) t; from there the spectrum at m
+    and 2m nodes doubles until the purities agree to the settle tolerance,
+    or 2048 nodes are reached. `error` is the change of the moment from the
+    last m/2 to m plus a round-off floor of 1e-12 relative.
+
+    Without `rtol`, f comes from the 4096-points-per-unit table
+    `f.table(t)` and the settle tolerance is 1e-11. With `rtol`, the table
+    is sized by an error budget of rtol * value / 10: it starts at 256
+    points per unit (at least 129 knots) and doubles, up to 4096, while
+    alpha * `_CheckedTable.interpolation_bound` exceeds the budget; that
+    term is added to `error`. The settle tolerance is max(1e-11, 1e-6 rtol)
+    relative plus the table's interpolation bound: purity changes below
+    the spline's own error are not resolved. Raises AccuracyError if `rtol`
+    is given and not met.
 
     `scheme` must be "auto", "grid" or "mc"; it, `seed`, `n_gl` and
     `n_samples` are accepted for compatibility and change nothing.
-    Raises AccuracyError if `rtol` is given and not met.
     """
     if alpha not in (2, 3, 4):
         raise DomainError("alpha must be one of 2, 3, 4")
@@ -432,25 +523,44 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     if scheme not in ("auto", "grid", "mc"):
         raise DomainError(f"unknown scheme {scheme!r}")
     sites = float(L) ** d
-    spline = f.table(t)
-
-    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        lag = tau[:, None] - tau[None, :]
-        fd = spline(np.abs(lag))
-        fd = np.where(lag >= 0, fd, np.conj(fd))
-        root_w = np.sqrt(omega)
-        return root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
-
     width = math.sqrt(sites * _rough_e2(f, t)) * t
     m = _M_START
     while m < width and 2 * m < _M_CAP:
         m *= 2
-    spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m])
-    value, prev = (float(np.sum(np.clip(v, 0.0, None) ** alpha))
-                   for v in (spec.values, spec.coarse))
-    err = abs(value - prev)
+
+    def moment(spline, settle: float = _SETTLE, floor: float = 0.0):
+        def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+            lag = tau[:, None] - tau[None, :]
+            fd = spline(np.abs(lag))
+            fd = np.where(lag >= 0, fd, np.conj(fd))
+            root_w = np.sqrt(omega)
+            return root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
+
+        spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m],
+                                settle=settle, floor=floor)
+        value, prev = (float(np.sum(np.clip(v, 0.0, None) ** alpha))
+                       for v in (spec.values, spec.coarse))
+        return value, abs(value - prev)
+
+    if rtol is None:
+        value, err = moment(f.table(t))
+        interp = 0.0
+    else:
+        settle = max(_SETTLE, 1e-6 * rtol)
+        ppu = _PPU_START
+        tab = f.table(t, ppu, checked=True)
+        bound = tab.interpolation_bound(sites, t)
+        value, err = moment(tab.spline, settle, bound)
+        solved = tab
+        while alpha * bound > 0.1 * rtol * value and ppu < _PPU_CAP:
+            ppu *= 2
+            tab = f.table(t, ppu, checked=True)
+            bound = tab.interpolation_bound(sites, t)
+        if tab is not solved:
+            value, err = moment(tab.spline, settle, bound)
+        interp = alpha * bound
     value = min(value, 1.0)
-    err += _ROUNDOFF * value
+    err += _ROUNDOFF * value + interp
     if rtol is not None and err > rtol * abs(value):
         raise AccuracyError(
             f"moment accuracy {err / max(abs(value), 1e-300):.2e} "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qspan import ed
+from qspan import ed, overlap
 from qspan.asymptotics import CumulantSeries, moment_asymptotic, moment_with_correction
 from qspan.errors import AccuracyError, DomainError
 from qspan.overlap import (
@@ -329,6 +329,119 @@ class TestMomentsQuadrature:
             moments_quadrature(f, 100, 1, 1.0, 5)
         with pytest.raises(DomainError):
             moments_quadrature(f, 100, 1, 1.0, 3, scheme="fancy")
+
+
+class TestBudgetedTable:
+    """With `rtol`, `moments_quadrature` sizes its f-table by the error
+    budget and reports the interpolation term in `error`."""
+
+    @pytest.mark.parametrize("k_grid", [512, 1024])
+    @pytest.mark.parametrize("h_i, h_f", [(0.5, 2.0), (0.3, 1.8),
+                                          (math.inf, 0.4), (0.9, 1.1)])
+    def test_error_bounds_deviation_from_dense_table(self, h_i, h_f, k_grid):
+        # quench-fresh-like and dynamical-transition-crossing quenches
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=h_i, h_f=h_f, k_grid=k_grid))
+        for t in (0.3, 0.6, 1.6):
+            for L in (100, 400):
+                for alpha in (2, 4):
+                    got = moments_quadrature(f, L, 1, t, alpha, rtol=0.05)
+                    ref = moments_quadrature(f, L, 1, t, alpha)
+                    assert abs(got.value - ref.value) <= got.error
+                    assert got.error <= 0.05 * got.value
+
+    def test_no_rtol_reuses_table_bit_for_bit(self):
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=math.inf, h_f=1.5, k_grid=512))
+        f.table(1.82)
+        evaluated = []
+        eval_many = f._eval_many
+
+        def counted(ts):
+            evaluated.append(np.size(ts))
+            return eval_many(ts)
+
+        f._eval_many = counted
+        # value and error of the 4096-point path, pinned as float.hex
+        expect = {(100, 0.4, 2): ("0x1.8c7e6272f5b16p-2",
+                                  "0x1.b4830d54fc2c1p-42"),
+                  (400, 0.6, 3): ("0x1.7e7c530bc7bbep-6",
+                                  "0x1.8046119098be0p-45"),
+                  (200, 1.8, 4): ("0x1.e6fa99019fedep-12",
+                                  "0x1.0bf82fd6e5241p-51")}
+        for (L, t, alpha), (value, error) in expect.items():
+            est = moments_quadrature(f, L, 1, t, alpha)
+            assert (est.value.hex(), est.error.hex()) == (value, error)
+        # only the node-count estimate's single lag per call; no new table
+        assert evaluated == [1] * len(expect)
+        assert len(f._tables) == 1
+
+    @pytest.mark.parametrize("rtol", [0.05, 1e-3])
+    def test_nystrom_doubling_stops_early(self, monkeypatch, rtol):
+        # the purity change on the C^2 spline kernel stalls near 1e-9: a
+        # settle test fixed at 1e-11 doubles to the 2048-node cap, and one
+        # at 1e-6 rtol alone still reaches 1024 nodes at rtol 1e-3
+        nodes = []
+        window_spectrum = overlap._window_spectrum
+
+        def spy(*args, **kwargs):
+            spec = window_spectrum(*args, **kwargs)
+            nodes.append(spec.tau.size)
+            return spec
+
+        monkeypatch.setattr(overlap, "_window_spectrum", spy)
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=math.inf, h_f=1.5, k_grid=512))
+        for alpha in (2, 3, 4):
+            moments_quadrature(f, 400, 1, 0.6, alpha, rtol=rtol)
+        assert nodes and max(nodes) <= 128
+
+    def test_knots_evaluated_once_under_concurrent_callers(self):
+        base = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=0.5, h_f=2.0, k_grid=64))
+        evaluated = []
+        start = threading.Barrier(2, timeout=10)
+
+        def slow_eval(ts):
+            evaluated.append(np.array(ts))
+            time.sleep(0.05)   # hold each build open for the other caller
+            return base(ts)
+
+        f = DynamicalFreeEnergy("ising_quench", slow_eval, {})
+        got = [None, None]
+
+        def request(i):
+            start.wait()
+            # rtol 1e-6 needs the 512-per-unit table: one doubling
+            got[i] = moments_quadrature(f, 100, 1, 0.5, 2, rtol=1e-6)
+
+        workers = [threading.Thread(target=request, args=(i,))
+                   for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive()
+        assert got[0] == got[1] is not None
+        tables = [key for key in f._tables if key[2]]
+        assert len(tables) >= 2   # the budget forced a doubling
+        # the base knots and one midpoint set per level, each point once;
+        # the rest are the two calls' single-lag node-count estimates
+        bulk = [ts for ts in evaluated if ts.size > 1]
+        assert len(bulk) == len(tables) + 1
+        points = np.concatenate(bulk)
+        assert np.unique(points).size == points.size
+        assert len(evaluated) - len(bulk) == 2
+
+    def test_unmeetable_rtol_stops_at_cap(self):
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=0.5, h_f=2.0, k_grid=64))
+        with pytest.raises(AccuracyError) as err:
+            moments_quadrature(f, 100, 1, 0.3, 2, rtol=1e-16)
+        assert max(key[1] for key in f._tables) == 4096
+        interp = 2 * f.table(0.3, 4096, checked=True) \
+            .interpolation_bound(100, 0.3)
+        assert 0 < interp <= err.value.achieved
 
 
 class TestRenyiQuadrature:
