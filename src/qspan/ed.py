@@ -1,8 +1,11 @@
-"""Dense exact diagonalization of small spin-1/2 chains.
+"""Exact diagonalization of small spin-1/2 chains.
 
-Builds Hamiltonians from weighted Pauli strings, diagonalizes them fully
-(real arithmetic when the matrix is real), and implements the finite-size
-protocols: the time-averaged state
+Builds Hamiltonians from weighted Pauli strings as one sparse matrix.
+`ground_state` takes the two lowest levels from sparse Lanczos and the
+(H, psi0) route of `energy_cumulants` uses sparse matrix-vector products;
+`spectral_decomposition` densifies H and diagonalizes it fully (real
+arithmetic when the matrix is real). On top of that the module implements
+the finite-size protocols: the time-averaged state
 
     rho_bar(t0, t) = int_0^t w(s) |Psi_{t0+s}><Psi_{t0+s}| ds,
 
@@ -38,6 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .asymptotics import WeightFunction
 from .errors import AccuracyError, ConfigError, DomainError, SizeError
@@ -129,12 +133,19 @@ class PauliHamiltonian:
 
 def build_hamiltonian(spec: PauliHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of the Pauli-string sum (2^L x 2^L)."""
+    return _sparse_hamiltonian(spec).toarray()
+
+
+def _sparse_hamiltonian(spec: PauliHamiltonian) -> sp.csr_matrix:
+    """The Pauli-string sum as a sparse matrix, checked to be Hermitian: the
+    one assembly behind `build_hamiltonian`, `ground_state` and the
+    matrix-vector cumulants."""
     h = _pauli_sum(spec.L, spec.terms)
     # checked in sparse form: the dense h - h^dag costs more than the build
     scale = max(abs(h).max(), 1.0)
     if abs(h - h.conj().T).max() > 1e-14 * scale:
         raise DomainError("constructed matrix is not Hermitian")
-    return h.toarray()
+    return h
 
 
 def _pauli_sum(L: int, terms) -> sp.csr_matrix:
@@ -161,6 +172,14 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
+def _as_operator(h) -> sp.csr_matrix:
+    """Sparse matrix of a chain or of a given matrix, for matrix-vector
+    work; a chain is never densified."""
+    if isinstance(h, PauliHamiltonian):
+        return _sparse_hamiltonian(h)
+    return sp.csr_matrix(np.asarray(h, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # Eigenproblems
 # ---------------------------------------------------------------------------
@@ -168,14 +187,38 @@ def _as_matrix(h) -> np.ndarray:
 def ground_state(spec, gap_tol: float = 1e-10) -> np.ndarray:
     """Normalized lowest eigenvector with a deterministic gauge.
 
+    The two lowest eigenpairs come from implicitly restarted Lanczos
+    (ARPACK through `scipy.sparse.linalg.eigsh`, k = 2, converged to
+    machine precision) on the sparse matrix, in real arithmetic when it is
+    real; the matrix is never densified. The start vector is a fixed
+    pseudo-random one, so it overlaps every symmetry sector and repeated
+    calls return the same vector. Only a matrix smaller than 4 x 4, where
+    ARPACK cannot take k = 2, is solved densely, and the zero matrix, on
+    which ARPACK cannot start, returns the first basis state.
+
     The first amplitude above numerical noise is rotated to the positive
-    real axis. A gap below `gap_tol` triggers a degeneracy warning; the
-    gauge-fixed vector of the lowest level is still returned.
+    real axis. A gap below `gap_tol` between the two values triggers a
+    degeneracy warning; the gauge-fixed vector of the lowest level is still
+    returned. A single start vector spans one direction of a degenerate
+    level, so the warning relies on ARPACK's restarts to find the partner;
+    they do on the chains tested, but it is not guaranteed.
     """
-    h = _as_matrix(spec)
-    if h.shape[0] == 1:
+    h = _as_operator(spec)
+    n = h.shape[0]
+    if n == 1:
         return np.ones(1, dtype=complex)
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 1])
+    if not np.any(h.data.imag):
+        h = h.real
+    if n < 4:
+        vals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 1])
+    elif not h.count_nonzero():
+        vals, vecs = np.zeros(2), np.eye(n, 2)
+    else:
+        v0 = np.random.default_rng(0).standard_normal(n).astype(h.dtype)
+        vals, vecs = scipy.sparse.linalg.eigsh(h, k=2, which="SA", tol=0,
+                                               v0=v0)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
     if vals[1] - vals[0] < gap_tol:
         warnings.warn(f"ground state nearly degenerate (gap = "
                       f"{vals[1] - vals[0]:.3e})",
@@ -184,6 +227,7 @@ def ground_state(spec, gap_tol: float = 1e-10) -> np.ndarray:
 
 
 def _fix_gauge(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     idx = np.argmax(np.abs(v) > 1e-12 * np.abs(v).max())
     phase = v[idx] / abs(v[idx])
@@ -532,7 +576,7 @@ def _energy_moments(sd_or_pair, n_max: int) -> tuple[np.ndarray, int]:
                             for k in range(n_max + 1)])
         return moments, sd.L
     spec, psi0 = sd_or_pair
-    h = _as_matrix(spec)
+    h = _as_operator(spec)
     l_sites = int(round(math.log2(h.shape[0])))
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
@@ -563,7 +607,8 @@ def energy_cumulants(sd_or_pair, n_max: int) -> np.ndarray:
     """Per-site energy cumulants e_1..e_{n_max} of the initial state.
 
     Accepts a SpectralDecomposition or an (H, psi0) pair; the latter uses
-    iterated matrix-vector products and never diagonalizes.
+    iterated products of the sparse H with a vector and neither densifies
+    nor diagonalizes H.
     """
     if not 1 <= n_max <= 8:
         raise DomainError("n_max must lie in [1, 8]")

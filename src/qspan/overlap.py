@@ -36,6 +36,7 @@ the integral, dropping exponentially small finite-size effects).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -434,6 +435,29 @@ _M_START = 32       # fewest nodes of a window
 _M_CAP = 2048       # eigvalsh of the cap takes seconds
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
+_TRIL_CACHED = 256  # largest node count whose triangle indices are kept
+
+
+def _lower_triangle(m: int):
+    """Rows, columns and flat offsets of the lower triangle of an m x m
+    matrix, diagonal included. The arrays are shared and read-only; they
+    are cached for m <= _TRIL_CACHED only, since at the 2048-node cap they
+    take about 50 MB."""
+    if m > _TRIL_CACHED:
+        return _lower_triangle_indices(m)
+    return _lower_triangle_cached(m)
+
+
+def _lower_triangle_indices(m: int):
+    rows, cols = np.tril_indices(m)
+    flat = rows * m + cols
+    for a in (rows, cols, flat):
+        a.setflags(write=False)
+    return rows, cols, flat
+
+
+_lower_triangle_cached = functools.lru_cache(maxsize=8)(
+    _lower_triangle_indices)
 
 
 class _WindowSpectrum(NamedTuple):
@@ -454,11 +478,13 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
     sqrt(omega_i) G(tau_i - tau_j) sqrt(omega_j), G(s) = <Psi_s|Psi_0>, on
     composite Gauss-Legendre nodes tau_i, counts[k] of them on panel
     [edges[k], edges[k+1]], with the density (1/t when None) folded into
-    the weights omega_i. `gram(tau, omega)` returns a Hermitian matrix with
-    that nonzero spectrum. It is solved at ceil(counts/2) and at counts,
-    and both double until the purity sum lambda^2 agrees to `settle`
-    relative plus `floor` (one rule for every moment), or until a doubling
-    would pass `cap` nodes in all. `settle` is 1e-11 and `floor` 0 for an
+    the weights omega_i. The nodes ascend. `gram(tau, omega)` returns a
+    Hermitian matrix with that nonzero spectrum, of which only the lower
+    triangle, diagonal included, is read (`eigvalsh`): the upper triangle
+    may hold anything, and the Nystrom kernel leaves it zero. It is solved
+    at ceil(counts/2) and at counts, and both double until the purity
+    sum lambda^2 agrees to `settle` relative plus `floor` (one rule for
+    every moment), or until a doubling would pass `cap` nodes in all. `settle` is 1e-11 and `floor` 0 for an
     analytic G. A G interpolated by a cubic spline is only C^2: its
     spectrum settles algebraically in the node count and the purity change
     stalls at a level set by the spline's error, so the caller loosens
@@ -497,7 +523,10 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
     nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
     for this analytic kernel), so the moment is sum_i lambda_i^alpha from
-    `_window_spectrum`, with f needed on [0, t] only. m starts at 32 and
+    `_window_spectrum`, with f needed on [0, t] only. As the solver reads
+    only the lower triangle, f and the exponential are evaluated there
+    only, where every lag tau_i - tau_j >= 0 (the nodes ascend), so no lag
+    needs the conjugation f(-s) = conj f(s). m starts at 32 and
     doubles until it reaches sqrt(L^d e2) t; from there the spectrum at m
     and 2m nodes doubles until the purities agree to the settle tolerance,
     or 2048 nodes are reached. `error` is the change of the moment from the
@@ -530,11 +559,13 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
 
     def moment(spline, settle: float = _SETTLE, floor: float = 0.0):
         def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
-            lag = tau[:, None] - tau[None, :]
-            fd = spline(np.abs(lag))
-            fd = np.where(lag >= 0, fd, np.conj(fd))
+            # tau ascends, so every lag of the lower triangle is >= 0
+            rows, cols, flat = _lower_triangle(tau.size)
             root_w = np.sqrt(omega)
-            return root_w[:, None] * np.exp(-sites * fd) * root_w[None, :]
+            out = np.zeros((tau.size, tau.size), dtype=complex)
+            out.ravel()[flat] = root_w[rows] \
+                * np.exp(-sites * spline(tau[rows] - tau[cols])) * root_w[cols]
+            return out
 
         spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m],
                                 settle=settle, floor=floor)

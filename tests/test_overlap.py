@@ -496,3 +496,41 @@ class TestOneWindowCore:
             est = moments_quadrature(f, L, 1, t, alpha)
             ref = float(np.sum(spec_t.eigenvalues ** alpha))
             assert abs(est.value - ref) <= est.error
+
+    @pytest.mark.parametrize("caller", ["nystrom", "snapshots"])
+    def test_only_the_lower_triangle_is_read(self, chains, monkeypatch,
+                                             caller):
+        # both callers' kernels with the upper triangle set to NaN give the
+        # spectra of their Hermitian completions: a solver that reads the
+        # upper triangle, or checks finiteness, fails here
+        core = overlap._window_spectrum
+        calls = []
+
+        def spy(gram, *args, **kwargs):
+            calls.append((gram, args, kwargs))
+            return core(gram, *args, **kwargs)
+
+        sd = chains[10]
+        if caller == "nystrom":
+            monkeypatch.setattr(overlap, "_window_spectrum", spy)
+            moments_quadrature(_ed_free_energy(sd, 10, 1.5), 10, 1, 1.5, 2)
+        else:
+            monkeypatch.setattr(ed, "_window_spectrum", spy)
+            ed.averaged_state(sd, 0.3, 1.5)
+        assert calls
+        for gram, args, kwargs in calls:
+            def upper_nan(tau, omega, gram=gram):
+                g = gram(tau, omega).copy()
+                g[np.triu_indices(tau.size, 1)] = np.nan
+                return g
+
+            def hermitian(tau, omega, gram=gram):
+                low = np.tril(gram(tau, omega))
+                return low + np.tril(low, -1).conj().T
+
+            full = core(hermitian, *args, **kwargs)
+            got = core(upper_nan, *args, **kwargs)
+            assert np.array_equal(got.values, full.values)
+            assert np.array_equal(got.coarse, full.coarse)
+            if caller == "nystrom":     # zeros above the diagonal, not garbage
+                assert not np.triu(gram(full.tau, full.omega), 1).any()
