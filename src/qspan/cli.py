@@ -118,6 +118,12 @@ def _require_sorted(values, what):
     return values
 
 
+def _require_positive(values, what):
+    if not all(v > 0 for v in values):   # NaN fails too
+        raise ConfigError(f"{what} must be positive")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Deterministic table writing
 # ---------------------------------------------------------------------------
@@ -217,6 +223,8 @@ def cmd_distribution(cfg, out: Path, fmt: str) -> None:
     n_pts = _get_int(cfg, "grid", "points", default=200)
     if not 0.0 < x_min < 1.0:
         raise ConfigError("[grid] x_min must lie in (0, 1)")
+    if n_pts < 1:
+        raise ConfigError("[grid] points must be at least 1")
     xs = np.exp(np.linspace(math.log(x_min), math.log(1.0 - 1e-9), n_pts))
     edge = asym.support_edge(cs, t)
     rows = []
@@ -297,8 +305,10 @@ def cmd_ising(cfg, out: Path, fmt: str) -> None:
     f = ovl.DynamicalFreeEnergy.from_ising(quench)
     no_quench = quench.h_i == quench.h_f
 
-    f_rows = [(float(tv), complex(f(tv)).real, complex(f(tv)).imag)
-              for tv in f_times]
+    f_rows = []
+    for tv in f_times:
+        fv = complex(f(tv))
+        f_rows.append((float(tv), fv.real, fv.imag))
     e2 = 0.0 if no_quench else ovl.second_cumulant_from_f(f)
     meta = {"h_i": quench.h_i if not math.isinf(quench.h_i) else math.inf,
             "h_f": quench.h_f, "J": quench.J, "t": t, "e2": e2}
@@ -379,12 +389,20 @@ def cmd_ed(cfg, out: Path, fmt: str) -> None:
         l_list = _get_ints(cfg, "system", "L", required=True)
         if sorted(l_list) != l_list:
             raise ConfigError("[system] L must be sorted ascending")
-    times = _require_sorted(_get_floats(cfg, "grid", "t", required=True),
-                            "[grid] t")
+    times = _require_positive(_require_sorted(
+        _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
     eps0 = _get_float(cfg, "schedule", "eps0", default=0.15)
+    if not 0.0 < eps0 < 1.0:
+        raise ConfigError("[schedule] eps0 must lie in (0, 1)")
     rate = _get_float(cfg, "schedule", "rate", default=100.0)
-    t_proj = _get_floats(cfg, "projection", "T", required=False) or []
+    if not rate >= 0.0:
+        raise ConfigError("[schedule] rate must not be negative")
+    t_proj = _require_positive(
+        _get_floats(cfg, "projection", "T", required=False) or [],
+        "[projection] T")
     n_proj = _get_int(cfg, "projection", "points", default=200)
+    if n_proj < 1:
+        raise ConfigError("[projection] points must be at least 1")
 
     def schedule(t: float) -> float:
         return eps0 / math.sqrt(1.0 + rate * t)

@@ -341,29 +341,27 @@ _PANEL_MIN = 8       # fewest snapshots of a weighted-window panel
 _WEIGHTED_CAP = 8    # weighted windows stop doubling beyond this many N
 
 
-def _uniform_kernel(delta: np.ndarray, t: float) -> np.ndarray:
-    """K(D) = (e^{-iDt} - 1)/(-iDt), Taylor-expanded near the diagonal."""
-    x = delta * t
-    small = np.abs(x) < 1e-6
-    x_safe = np.where(small, 1.0, x)
-    out = (np.exp(-1j * x_safe) - 1.0) / (-1j * x_safe)
-    taylor = 1.0 - 1j * x / 2.0 - x ** 2 / 6.0 + 1j * x ** 3 / 24.0
-    return np.where(small, taylor, out)
-
-
 def _closed_form(sd: SpectralDecomposition, t0: float, t: float,
                  want_vectors: bool):
-    """Eigenpairs of the N x N energy-basis matrix of a uniform window."""
-    delta = sd.energies[:, None] - sd.energies[None, :]
-    kernel = _uniform_kernel(delta, t)
-    if t0 != 0.0:
-        kernel = kernel * np.exp(-1j * delta * t0)
-    mat = (sd.overlaps[:, None] * sd.overlaps[None, :].conj()) * kernel
-    del delta, kernel
+    """Eigenpairs of the N x N energy-basis matrix of a uniform window,
+    c_m conj(c_n) e^{-iD(t0 + t/2)} sinc(Dt/2pi) with D = E_m - E_n.
+
+    Its phases form the diagonal unitary P = diag(e^{i(arg c_n - E_n
+    (t0 + t/2))}), so the matrix is P R P^dag with the real symmetric
+    R = |c_m| |c_n| sinc(Dt/2pi): R is solved in real arithmetic, its
+    eigenvalues are the window's, and P turns its eigenvectors into the
+    window's. t0 enters through P only.
+    """
+    amp = np.abs(sd.overlaps)
+    mat = np.sinc(np.subtract.outer(sd.energies, sd.energies) * t
+                  / (2.0 * math.pi))
+    mat *= np.outer(amp, amp)
     if not want_vectors:
         return np.linalg.eigvalsh(mat)[::-1], None
     vals, vecs = np.linalg.eigh(mat)
-    return vals[::-1], vecs[:, ::-1]
+    phase = np.exp(1j * (np.angle(sd.overlaps)
+                         - sd.energies * (t0 + 0.5 * t)))
+    return vals[::-1], phase[:, None] * vecs[:, ::-1]
 
 
 def _snapshots(sd: SpectralDecomposition, t0: float, tau: np.ndarray,

@@ -19,8 +19,10 @@ nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
 core `_window_spectrum` (node rule, purity settle test, doubling) is shared
 with `ed.averaged_state`, which feeds it the snapshot Gram matrix instead.
 
-f is read from a cached cubic spline (`DynamicalFreeEnergy.table`). Without
-an accuracy target it has 4096 knots per unit time. With `rtol` the table
+f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
+which also supplies the rough e2 that picks the starting node count, so a
+moment evaluates f directly only while building a table. Without an
+accuracy target the table has 4096 knots per unit time. With `rtol` it
 follows an error budget of rtol * value / 10 instead: f is also evaluated at
 the knot midpoints, the spline's deviation there weighted by the kernel's
 sensitivity L^d |exp(-L^d f)| bounds the moment change, and the density
@@ -36,7 +38,6 @@ the integral, dropping exponentially small finite-size effects).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import warnings
@@ -425,39 +426,10 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # Moment quadrature
 # ---------------------------------------------------------------------------
 
-def _rough_e2(f: DynamicalFreeEnergy, t: float) -> float:
-    h = 1e-3 * t
-    val = 2.0 * (f(h)).real / (h * h)
-    return max(val, 1e-12)
-
-
 _M_START = 32       # fewest nodes of a window
 _M_CAP = 2048       # eigvalsh of the cap takes seconds
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
-_TRIL_CACHED = 256  # largest node count whose triangle indices are kept
-
-
-def _lower_triangle(m: int):
-    """Rows, columns and flat offsets of the lower triangle of an m x m
-    matrix, diagonal included. The arrays are shared and read-only; they
-    are cached for m <= _TRIL_CACHED only, since at the 2048-node cap they
-    take about 50 MB."""
-    if m > _TRIL_CACHED:
-        return _lower_triangle_indices(m)
-    return _lower_triangle_cached(m)
-
-
-def _lower_triangle_indices(m: int):
-    rows, cols = np.tril_indices(m)
-    flat = rows * m + cols
-    for a in (rows, cols, flat):
-        a.setflags(write=False)
-    return rows, cols, flat
-
-
-_lower_triangle_cached = functools.lru_cache(maxsize=8)(
-    _lower_triangle_indices)
 
 
 class _WindowSpectrum(NamedTuple):
@@ -525,12 +497,16 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     for this analytic kernel), so the moment is sum_i lambda_i^alpha from
     `_window_spectrum`, with f needed on [0, t] only. As the solver reads
     only the lower triangle, f and the exponential are evaluated there
-    only, where every lag tau_i - tau_j >= 0 (the nodes ascend), so no lag
-    needs the conjugation f(-s) = conj f(s). m starts at 32 and
-    doubles until it reaches sqrt(L^d e2) t; from there the spectrum at m
-    and 2m nodes doubles until the purities agree to the settle tolerance,
-    or 2048 nodes are reached. `error` is the change of the moment from the
-    last m/2 to m plus a round-off floor of 1e-12 relative.
+    only, through a boolean mask (`np.tri`), where every lag
+    tau_i - tau_j >= 0 (the nodes ascend), so no lag needs the conjugation
+    f(-s) = conj f(s); the upper triangle stays zero. m starts at 32 and
+    doubles until it reaches sqrt(L^d e2) t, with e2 read off the
+    curvature 2 Re S(h)/h^2 of the table's spline S at h = 1e-3 t, so f is
+    read only through the first table the moment is solved on. From there
+    the spectrum at m and 2m nodes doubles until the purities agree to the
+    settle tolerance, or 2048 nodes are reached. `error` is the change of
+    the moment from the last m/2 to m plus a round-off floor of 1e-12
+    relative.
 
     Without `rtol`, f comes from the 4096-points-per-unit table
     `f.table(t)` and the settle tolerance is 1e-11. With `rtol`, the table
@@ -552,19 +528,29 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     if scheme not in ("auto", "grid", "mc"):
         raise DomainError(f"unknown scheme {scheme!r}")
     sites = float(L) ** d
-    width = math.sqrt(sites * _rough_e2(f, t)) * t
+    if rtol is None:
+        spline, settle, bound = f.table(t), _SETTLE, 0.0
+    else:
+        ppu = _PPU_START
+        tab = f.table(t, ppu, checked=True)
+        spline, settle = tab.spline, max(_SETTLE, 1e-6 * rtol)
+        bound = tab.interpolation_bound(sites, t)
+    h = 1e-3 * t    # e2 from the curvature of Re f at the origin
+    e2 = max(2.0 * float(spline(h).real) / (h * h), 1e-12)
+    width = math.sqrt(sites * e2) * t
     m = _M_START
     while m < width and 2 * m < _M_CAP:
         m *= 2
 
-    def moment(spline, settle: float = _SETTLE, floor: float = 0.0):
+    def moment(spline, floor: float):
         def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
             # tau ascends, so every lag of the lower triangle is >= 0
-            rows, cols, flat = _lower_triangle(tau.size)
-            root_w = np.sqrt(omega)
+            low = np.tri(tau.size, dtype=bool)
             out = np.zeros((tau.size, tau.size), dtype=complex)
-            out.ravel()[flat] = root_w[rows] \
-                * np.exp(-sites * spline(tau[rows] - tau[cols])) * root_w[cols]
+            out[low] = np.exp(-sites * spline(np.subtract.outer(tau, tau)[low]))
+            root_w = np.sqrt(omega)
+            out *= root_w[:, None]
+            out *= root_w
             return out
 
         spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m],
@@ -573,25 +559,17 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
                        for v in (spec.values, spec.coarse))
         return value, abs(value - prev)
 
-    if rtol is None:
-        value, err = moment(f.table(t))
-        interp = 0.0
-    else:
-        settle = max(_SETTLE, 1e-6 * rtol)
-        ppu = _PPU_START
-        tab = f.table(t, ppu, checked=True)
-        bound = tab.interpolation_bound(sites, t)
-        value, err = moment(tab.spline, settle, bound)
+    value, err = moment(spline, bound)
+    if rtol is not None:
         solved = tab
         while alpha * bound > 0.1 * rtol * value and ppu < _PPU_CAP:
             ppu *= 2
             tab = f.table(t, ppu, checked=True)
             bound = tab.interpolation_bound(sites, t)
         if tab is not solved:
-            value, err = moment(tab.spline, settle, bound)
-        interp = alpha * bound
+            value, err = moment(tab.spline, bound)
     value = min(value, 1.0)
-    err += _ROUNDOFF * value + interp
+    err += _ROUNDOFF * value + alpha * bound
     if rtol is not None and err > rtol * abs(value):
         raise AccuracyError(
             f"moment accuracy {err / max(abs(value), 1e-300):.2e} "

@@ -15,6 +15,11 @@ def run_ok(args):
     return rc
 
 
+# an L = 4 ed system; the [grid] section is left open for its t line
+ED_SMALL = ("[system]\nmodel = integrable\nL = 4\ninitial = polarized_z\n"
+            "[grid]\n")
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     header = next(l for l in lines if not l.startswith("#"))
@@ -234,6 +239,29 @@ class TestFormatsAndErrors:
         rc = main(["asymptotics", "--config", str(cfg),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("verb, body, where", [
+        ("ed", ED_SMALL + "t = 1.0\n[projection]\nT = 1.0\npoints = -3\n",
+         "[projection] points"),
+        ("ed", ED_SMALL + "t = 1.0\n[schedule]\nrate = -1\n",
+         "[schedule] rate"),
+        ("ed", ED_SMALL + "t = 1.0\n[schedule]\neps0 = 1.5\n",
+         "[schedule] eps0"),
+        ("ed", ED_SMALL + "t = 1.0\n[projection]\nT = 0.0\n",
+         "[projection] T"),
+        ("ed", ED_SMALL + "t = -1.0 1.0\n", "[grid] t"),
+        ("distribution", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
+         "[window]\nt = 1.0\n[grid]\npoints = -2\n", "[grid] points"),
+    ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "distribution-points"])
+    def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
+                                                   verb, body, where):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body)
+        rc = main([verb, "--config", str(cfg),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
 
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["asymptotics", "--config", str(tmp_path / "none.cfg"),

@@ -407,6 +407,15 @@ class TestSnapshotPath:
         assert np.abs(gram - np.eye(k)).max() < 1e-12
         assert np.abs(spec_t.eigenvalues[k:]).max() == 0.0
 
+    def test_shifted_closed_form_vectors_match_oracle(self, snapshot_system):
+        sd = snapshot_system
+        t0, t = 0.7, 1e3
+        spec_t = averaged_state(sd, t0, t, want_vectors=True)
+        assert spec_t.nodes == 0
+        vecs = spec_t.vectors
+        rho = (vecs * spec_t.eigenvalues) @ vecs.conj().T
+        assert np.abs(rho - closed_form_oracle(sd, t, t0)).max() < 1e-13
+
     def test_shifted_window_matches_riemann(self):
         sd = spectral_decomposition(integrable_chain(8, J=1.1),
                                     polarized_state(8, "x"))

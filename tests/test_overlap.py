@@ -372,8 +372,8 @@ class TestBudgetedTable:
         for (L, t, alpha), (value, error) in expect.items():
             est = moments_quadrature(f, L, 1, t, alpha)
             assert (est.value.hex(), est.error.hex()) == (value, error)
-        # only the node-count estimate's single lag per call; no new table
-        assert evaluated == [1] * len(expect)
+        # f is read only through the cached table: no direct evaluation
+        assert evaluated == []
         assert len(f._tables) == 1
 
     @pytest.mark.parametrize("rtol", [0.05, 1e-3])
@@ -425,13 +425,13 @@ class TestBudgetedTable:
         assert got[0] == got[1] is not None
         tables = [key for key in f._tables if key[2]]
         assert len(tables) >= 2   # the budget forced a doubling
-        # the base knots and one midpoint set per level, each point once;
-        # the rest are the two calls' single-lag node-count estimates
+        # the base knots and one midpoint set per level, each point once,
+        # and nothing else: the node count comes from the table
         bulk = [ts for ts in evaluated if ts.size > 1]
         assert len(bulk) == len(tables) + 1
         points = np.concatenate(bulk)
         assert np.unique(points).size == points.size
-        assert len(evaluated) - len(bulk) == 2
+        assert len(evaluated) == len(bulk)
 
     def test_unmeetable_rtol_stops_at_cap(self):
         f = DynamicalFreeEnergy.from_ising(
