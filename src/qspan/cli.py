@@ -188,8 +188,8 @@ def cmd_asymptotics(cfg, out: Path, fmt: str) -> None:
     l_list = _get_ints(cfg, "grid", "L", required=True)
     if sorted(l_list) != l_list:
         raise ConfigError("[grid] L must be sorted ascending")
-    t_list = _require_sorted(_get_floats(cfg, "grid", "t", required=True),
-                             "[grid] t")
+    t_list = _require_positive(_require_sorted(
+        _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
     alphas = _get_floats(cfg, "grid", "alpha", required=True)
     eps = _get_float(cfg, "rank", "epsilon", required=True)
 
@@ -215,9 +215,14 @@ def cmd_asymptotics(cfg, out: Path, fmt: str) -> None:
                  rows, meta={"epsilon": eps})
 
 
+def _window_t(cfg) -> float:
+    t = _get_float(cfg, "window", "t", required=True)
+    return _require_positive([t], "[window] t")[0]
+
+
 def cmd_distribution(cfg, out: Path, fmt: str) -> None:
     L = _get_int(cfg, "system", "L", required=True)
-    t = _get_float(cfg, "window", "t", required=True)
+    t = _window_t(cfg)
     cs = _cumulant_series(cfg, L)
     x_min = _get_float(cfg, "grid", "x_min", default=1e-6)
     n_pts = _get_int(cfg, "grid", "points", default=200)
@@ -241,11 +246,13 @@ def cmd_distribution(cfg, out: Path, fmt: str) -> None:
 
 def cmd_rank(cfg, out: Path, fmt: str) -> None:
     L = _get_int(cfg, "system", "L", required=True)
-    t = _get_float(cfg, "window", "t", required=True)
+    t = _window_t(cfg)
     cs = _cumulant_series(cfg, L)
     eps_list = _require_sorted(_get_floats(cfg, "sweep", "epsilon",
                                            required=True), "[sweep] epsilon")
     delta_t = _get_float(cfg, "sweep", "delta_t", default=None)
+    if delta_t is not None:
+        _require_positive([delta_t], "[sweep] delta_t")
     rows = []
     for eps in eps_list:
         sol = asym.solve_rank_system(cs, asym.RankQuery(eps, t))
@@ -391,6 +398,8 @@ def cmd_ed(cfg, out: Path, fmt: str) -> None:
             raise ConfigError("[system] L must be sorted ascending")
     times = _require_positive(_require_sorted(
         _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
+    if not times:
+        raise ConfigError("[grid] t must list at least one time")
     eps0 = _get_float(cfg, "schedule", "eps0", default=0.15)
     if not 0.0 < eps0 < 1.0:
         raise ConfigError("[schedule] eps0 must lie in (0, 1)")
@@ -411,7 +420,7 @@ def cmd_ed(cfg, out: Path, fmt: str) -> None:
     proj_rows = []
     for L in l_list:
         spec, psi0 = _ed_system(cfg, L)
-        sd = edm.spectral_decomposition(spec, psi0)
+        sd = edm.krylov_decomposition(spec, psi0, max(times + t_proj))
         curve = edm.rank_curve(spec, psi0, schedule, times, sd=sd)
         for i, t in enumerate(curve.times):
             rank_rows.append((spec.L, float(t), float(curve.epsilons[i]),

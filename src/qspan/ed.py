@@ -2,10 +2,22 @@
 
 Builds Hamiltonians from weighted Pauli strings as one sparse matrix.
 `ground_state` takes the two lowest levels from sparse Lanczos and the
-(H, psi0) route of `energy_cumulants` uses sparse matrix-vector products;
-`spectral_decomposition` densifies H and diagonalizes it fully (real
-arithmetic when the matrix is real). On top of that the module implements
-the finite-size protocols: the time-averaged state
+(H, psi0) route of `energy_cumulants` uses sparse matrix-vector products.
+The energy levels E_n and overlaps c_n that the protocols read come from
+one of two routes, both a `SpectralDecomposition`:
+`krylov_decomposition` runs Lanczos from psi0 on the sparse H and keeps
+the K Ritz levels (K of order (E_max - E_min) t_max / 2, well below N =
+2^L) that reproduce Psi_s for |s| <= t_max to a stated bound; it feeds
+`qspan ed` and `rank_curve` by default. `spectral_decomposition`
+densifies H and diagonalizes it fully (real arithmetic when the matrix is
+real), exact at every time, and stays as the oracle. A decomposition
+records the largest |s| it holds for (`horizon`, infinite for the dense
+route) and its error there (`error`); every function that evolves a
+state raises DomainError past the horizon. Below, N counts the levels of
+the decomposition in use: 2^L for the dense route, K for the Krylov one.
+
+On top of that the module implements the finite-size protocols: the
+time-averaged state
 
     rho_bar(t0, t) = int_0^t w(s) |Psi_{t0+s}><Psi_{t0+s}| ds,
 
@@ -59,6 +71,7 @@ __all__ = [
     "build_hamiltonian",
     "ground_state",
     "spectral_decomposition",
+    "krylov_decomposition",
     "return_amplitude",
     "first_overlap_crossing",
     "averaged_state",
@@ -138,8 +151,8 @@ def build_hamiltonian(spec: PauliHamiltonian) -> np.ndarray:
 
 def _sparse_hamiltonian(spec: PauliHamiltonian) -> sp.csr_matrix:
     """The Pauli-string sum as a sparse matrix, checked to be Hermitian: the
-    one assembly behind `build_hamiltonian`, `ground_state` and the
-    matrix-vector cumulants."""
+    one assembly behind `build_hamiltonian`, `ground_state`,
+    `krylov_decomposition` and the matrix-vector cumulants."""
     h = _pauli_sum(spec.L, spec.terms)
     # checked in sparse form: the dense h - h^dag costs more than the build
     scale = max(abs(h).max(), 1.0)
@@ -236,27 +249,50 @@ def _fix_gauge(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full eigensystem plus initial-state overlaps c_n = <E_n|Psi_0>."""
+    """Energy levels E_n with the initial-state overlaps c_n = <E_n|Psi_0>.
+
+    From `spectral_decomposition` these are all N = 2^L eigenpairs of H,
+    exact at every time: `horizon` is infinite and `error` 0. From
+    `krylov_decomposition` they are the K Ritz pairs of a Lanczos run from
+    Psi_0 (K <= N): Psi_s = sum_n c_n e^{-iE_n s} |E_n> then holds for
+    |s| <= `horizon` only, to within `error` in the 2-norm. `dim` counts
+    the levels held, not the dimension of the Hilbert space.
+    """
 
     energies: np.ndarray          # ascending, real
     overlaps: np.ndarray          # complex, sum |c_n|^2 = 1
     basis: np.ndarray             # columns are |E_n> in the site basis
     L: int
+    horizon: float = math.inf     # largest |s| at which Psi_s is reproduced
+    error: float = 0.0            # bound on ||Psi_s - sum_n ...|| there
 
     @property
     def dim(self) -> int:
         return self.energies.size
 
 
-def spectral_decomposition(spec, psi0: np.ndarray,
-                           check: bool = True) -> SpectralDecomposition:
-    """Diagonalize and project the initial state onto the eigenbasis."""
-    h = _as_matrix(spec)
+def _check_horizon(sd: SpectralDecomposition, t, what: str) -> None:
+    """DomainError when a time reaches past the decomposition's horizon."""
+    reach = float(np.max(np.abs(t)))
+    if reach > sd.horizon:
+        raise DomainError(f"{what} reaches s = {reach:g}, beyond the horizon "
+                          f"{sd.horizon:g} of the decomposition")
+
+
+def _unit_state(psi0) -> np.ndarray:
+    """psi0 as a complex unit vector; DomainError unless its norm is 1."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > 1e-8:
         raise DomainError(f"initial state norm {norm} is not 1")
-    psi0 = psi0 / norm
+    return psi0 / norm
+
+
+def spectral_decomposition(spec, psi0: np.ndarray,
+                           check: bool = True) -> SpectralDecomposition:
+    """Diagonalize and project the initial state onto the eigenbasis."""
+    h = _as_matrix(spec)
+    psi0 = _unit_state(psi0)
     # a real H (the bundled chaotic and integrable chains) is solved in
     # real arithmetic
     energies, basis = np.linalg.eigh(h if np.any(h.imag) else h.real)
@@ -277,9 +313,101 @@ def spectral_decomposition(spec, psi0: np.ndarray,
     return sd
 
 
+_KRYLOV_TOL = 1e-13   # bound plus round-off floor that ends a Lanczos run
+_LANCZOS_BLOCK = 64   # basis rows allocated at a time
+
+
+def krylov_decomposition(spec, psi0: np.ndarray,
+                         t_max: float) -> SpectralDecomposition:
+    """Ritz pairs of a Lanczos run from Psi_0 that reproduce Psi_s on
+    |s| <= t_max, without diagonalizing H.
+
+    The spectrum of rho_bar depends on H only through the measure
+    sum_n |c_n|^2 delta(E - E_n), and K Lanczos steps on the sparse H give
+    the K-point Gauss rule of that measure: Ritz values theta_j of the
+    tridiagonal T_K, weights Q_0j^2 from its eigenvectors Q. Then
+    Psi_s ~ V_K e^{-iT_K s} e_1 = sum_j Q_0j e^{-i theta_j s} V_K Q_j, so the
+    Ritz values, Q[0, :] and the Ritz vectors V_K Q stand in for energies,
+    overlaps and eigenvectors, and every consumer of a SpectralDecomposition
+    takes them unchanged. The basis V_K is orthogonalized fully, twice, at
+    each step and stored row-wise so that V[:k] is contiguous.
+
+    The error of that state is at most beta_K int_0^t_max
+    |e_K^T e^{-iT_K s} e_1| ds for every |s| <= t_max (variation of
+    constants; Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)),
+    evaluated from the Ritz pairs on a grid. The run stops when that bound
+    plus the round-off floor eps (1 + ||H||_inf t_max) of the phases is
+    at most 1e-13, or at K = N; once that floor passes half of 1e-13 (long
+    windows) the bound need only reach the floor. Checks are spaced on the
+    assumption that the bound falls by at most a decade a step; where it
+    falls faster the run takes a few extra steps, which only tighten it. A
+    Krylov space that closes (beta_K -> 0) stops by the same rule with the
+    spectrum of its reach, plus any Ritz levels of round-off weight. It
+    typically needs K ~ (E_max - E_min) t_max / 2 levels. The result
+    carries `horizon` = t_max and `error` = the bound.
+    """
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max = {t_max} must be positive and finite")
+    h = _as_operator(spec)
+    if not np.any(h.data.imag):
+        h = h.real
+    n = h.shape[0]
+    floor = np.finfo(float).eps * (1.0 + abs(h).sum(axis=1).max() * t_max)
+    goal = max(_KRYLOV_TOL - floor, floor)
+    v = np.empty((min(n, _LANCZOS_BLOCK), n), dtype=complex)
+    v[0] = _unit_state(psi0)
+    alpha, beta = [], []
+    check = 0
+    while True:
+        k = len(alpha)
+        w = h @ v[k]
+        coeff = v[:k + 1].conj() @ w
+        w -= coeff @ v[:k + 1]
+        w -= (v[:k + 1].conj() @ w) @ v[:k + 1]
+        alpha.append(coeff[k].real)
+        b = float(np.linalg.norm(w))
+        # the integrand is at most 1, so b t_max alone can settle the rule
+        if k >= check or b * t_max <= goal or k + 1 == n:
+            theta, q = scipy.linalg.eigh_tridiagonal(np.array(alpha),
+                                                     np.array(beta))
+            bound = _lanczos_bound(theta, q, b, t_max,
+                                   goal if k + 1 < n else math.inf)
+            if bound <= goal or k + 1 == n:
+                break
+            # a decade a step at most (see above): skip checks that must fail
+            check = k + max(1, int(math.log10(bound / goal)))
+        beta.append(b)
+        if k + 1 == v.shape[0]:
+            v = np.concatenate([v, np.empty((min(v.shape[0], n - k - 1), n),
+                                            dtype=complex)])
+        v[k + 1] = w / b
+    return SpectralDecomposition(
+        energies=theta, overlaps=q[0].astype(complex),
+        basis=v[:k + 1].T @ q, L=int(round(math.log2(n))),
+        horizon=float(t_max), error=bound)
+
+
+def _lanczos_bound(theta: np.ndarray, q: np.ndarray, b: float, t_max: float,
+                   goal: float) -> float:
+    """b int_0^t_max |e_K^T e^{-iT_K s} e_1| ds from the Ritz pairs
+    (theta, q) of T_K, as an upper Riemann sum (the larger end of each
+    cell) on a grid of about twelve points per period of the fastest beat
+    theta_max - theta_min. The last cell alone is a lower bound of that
+    sum; when it already exceeds `goal` it is returned without the rest."""
+    weights = q[0] * q[-1]
+    cells = 16 + math.ceil(2.0 * (theta[-1] - theta[0]) * t_max)
+    last = b * t_max / cells * abs(np.exp(-1j * theta * t_max) @ weights)
+    if last > goal:
+        return last
+    s = np.linspace(0.0, t_max, cells + 1)
+    g = np.abs(np.exp(-1j * np.outer(s, theta)) @ weights)
+    return b * t_max / cells * float(np.maximum(g[1:], g[:-1]).sum())
+
+
 def return_amplitude(sd: SpectralDecomposition, t) -> np.ndarray | float:
     """|<Psi_t|Psi_0>| = |sum_n |c_n|^2 e^{-i E_n t}| at scalar or array t."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_horizon(sd, ts, "return amplitude")
     weights = np.abs(sd.overlaps) ** 2
     amp = np.abs(np.exp(-1j * np.outer(ts, sd.energies)) @ weights)
     return float(amp[0]) if np.isscalar(t) or np.ndim(t) == 0 else amp
@@ -290,7 +418,8 @@ def first_overlap_crossing(sd: SpectralDecomposition, threshold: float = 0.5,
     """First time the return amplitude drops below `threshold`.
 
     The amplitude starts at 1 and is never negative, so `threshold` must
-    lie in (0, 1); outside it there is no first crossing to bracket.
+    lie in (0, 1); outside it there is no first crossing to bracket. The
+    search over [0, t_max] must lie within `sd.horizon`.
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold {threshold} outside (0, 1)")
@@ -319,7 +448,8 @@ def first_overlap_crossing(sd: SpectralDecomposition, threshold: float = 0.5,
 class AveragedStateSpectrum:
     """Eigenvalues of the averaged state, descending, with prefix sums.
 
-    `eigenvalues` always has one entry per energy level (zeros past the
+    `eigenvalues` always has one entry per level of the decomposition it
+    came from (N for the dense route, K for the Krylov one; zeros past the
     rank of the snapshot matrix); `vectors`, when requested, holds
     energy-basis columns for the leading `vectors.shape[1]` of them.
     `nodes` is the number of snapshots used, 0 for the closed form.
@@ -386,14 +516,16 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
     the only path whose memory does not grow with t; a weighted one that
     has not settled by 8 N nodes raises AccuracyError.
 
-    Eigenvalues are returned descending and padded with zeros to N, with
-    values in [-1e-12, 0) clamped to zero; eigenvectors (energy-basis
-    columns, same order) are attached on request. Snapshot vectors come
-    from one thin SVD at the settled node set, so they are orthonormal by
-    construction.
+    Eigenvalues are returned descending and padded with zeros to N, the
+    number of levels of `sd`, with values in [-1e-12, 0) clamped to zero;
+    eigenvectors (energy-basis columns, same order) are attached on
+    request. Snapshot vectors come from one thin SVD at the settled node
+    set, so they are orthonormal by construction. A window reaching past
+    `sd.horizon` on either side raises DomainError.
     """
     if t <= 0:
         raise DomainError("window width t must be positive")
+    _check_horizon(sd, [t0, t0 + t], "window")
     if w is None:
         edges = np.array([0.0, t])
     else:
@@ -483,13 +615,15 @@ def rank_curve(spec, psi0: np.ndarray,
     For each window width the averaged state's spectrum is truncated
     at eps_schedule(t); the companion prediction line is
     sqrt(2 e2)/pi * erfinv(1 - eps_t) * sqrt(L) * t with e2 taken from the
-    measured energy cumulants of the same system.
+    measured energy cumulants of the same system. Without `sd` the
+    levels come from `krylov_decomposition` up to the longest window.
     """
+    times = np.asarray(list(times), dtype=float)
     if sd is None:
-        sd = spectral_decomposition(spec, psi0)
+        sd = krylov_decomposition(spec, psi0,
+                                  float(np.max(times, initial=0.0)))
     e2 = float(energy_cumulants(sd, 2)[1])
     sqrt_l = math.sqrt(sd.L)
-    times = np.asarray(list(times), dtype=float)
     eps = np.array([eps_schedule(float(t)) for t in times])
     dims = np.empty(times.size, dtype=int)
     pred = np.empty(times.size)
@@ -530,11 +664,13 @@ def projection_error(sd: SpectralDecomposition, T: float, eps_T: float,
     P spans the D leading eigenvectors of `averaged_state(sd, 0, T)`, which
     for T below the closed-form threshold are the left singular vectors of
     the snapshot matrix. `spec` may carry a precomputed spectrum with
-    vectors of that average to avoid repeating the solve.
+    vectors of that average to avoid repeating the solve. T must lie
+    within `sd.horizon`.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < -1e-12) or np.any(ts > T * (1 + 1e-12)):
         raise DomainError("projection times must lie in [0, T]")
+    _check_horizon(sd, T, "projection window")
     if spec is None or spec.vectors is None:
         spec = averaged_state(sd, 0.0, T, want_vectors=True)
     rank = effective_rank(spec, eps_T)

@@ -41,11 +41,13 @@ def random_state(dim: int, seed: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def chaotic_12():
-    """Shared L = 12 system: the dominant eigensolve of the whole suite."""
+    """Shared L = 12 system: the dominant eigensolve of the whole suite,
+    with the Krylov decomposition that criteria 6 and 7 read (t <= 4)."""
     spec = ed.chaotic_chain(12)
     psi0 = ed.ground_state(ed.chaotic_initial_chain(12))
     sd = ed.spectral_decomposition(spec, psi0)
-    return {"spec": spec, "psi0": psi0, "sd": sd}
+    return {"spec": spec, "psi0": psi0, "sd": sd,
+            "krylov": ed.krylov_decomposition(spec, psi0, 4.0)}
 
 
 @pytest.fixture(scope="session")

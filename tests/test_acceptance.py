@@ -141,7 +141,7 @@ def test_criterion_06_rank_collapse(report, chaotic_12):
     mad6, _ = _collapse_stats(ed.chaotic_chain(6),
                               ed.ground_state(ed.chaotic_initial_chain(6)))
     mad12, rel12 = _collapse_stats(chaotic_12["spec"], chaotic_12["psi0"],
-                                   sd=chaotic_12["sd"])
+                                   sd=chaotic_12["krylov"])
     ok = mad12 < mad6 and rel12 < 0.25
     report("criterion-06", ok,
            f"MAD(L=6) = {mad6:.4f}, MAD(L=12) = {mad12:.4f}, "
@@ -151,7 +151,7 @@ def test_criterion_06_rank_collapse(report, chaotic_12):
 
 
 def test_criterion_07_projection_error_boundary_maximum(report, chaotic_12):
-    sd = chaotic_12["sd"]
+    sd = chaotic_12["krylov"]
     summary = []
     ok = True
     for T in (1.0, 2.0, 3.0, 4.0):

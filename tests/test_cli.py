@@ -201,6 +201,42 @@ class TestEdVerb:
         assert len(rows) == 2
         assert all(int(r["D"]) >= 1 for r in rows)
 
+    def test_chaotic_tables_match_dense_route(self, tmp_path):
+        from qspan import ed
+        cfg = tmp_path / "chaotic.cfg"
+        cfg.write_text("[system]\nmodel = chaotic\nL = 10\nJ = 1.1\n"
+                       "boundary = open\n[schedule]\neps0 = 0.15\n"
+                       "rate = 80\n[grid]\nt = 0.5 1.0 2.0 3.0 3.5\n"
+                       "[projection]\nT = 1.5 4.0\npoints = 40\n")
+        out = tmp_path / "chaotic.csv"
+        run_ok(["ed", "--config", str(cfg), "--out", str(out)])
+        _, rows = read_rows(out)
+        _, prows = read_rows(tmp_path / "chaotic_proj.csv")
+
+        spec = ed.chaotic_chain(10, J=1.1, boundary="open")
+        psi0 = ed.ground_state(ed.chaotic_initial_chain(10, J=1.1,
+                                                        boundary="open"))
+        sd = ed.spectral_decomposition(spec, psi0)
+
+        def schedule(t):
+            return 0.15 / math.sqrt(1.0 + 80.0 * t)
+
+        curve = ed.rank_curve(spec, psi0, schedule, [0.5, 1.0, 2.0, 3.0, 3.5],
+                              sd=sd)
+        assert [int(r["D"]) for r in rows] == curve.dims.tolist()
+        for r, pred in zip(rows, curve.prediction_per_sqrt_l):
+            assert float(r["prediction_per_sqrt_L"]) == pytest.approx(
+                pred, rel=1e-12)
+            assert float(r["e2"]) == pytest.approx(curve.e2, rel=1e-12)
+        for i, T in enumerate((1.5, 4.0)):
+            res = ed.projection_error(sd, T, schedule(T),
+                                      np.linspace(0.0, T, 41))
+            block = prows[41 * i:41 * (i + 1)]
+            assert {int(r["D"]) for r in block} == {res.D}
+            for name in ("error", "band_low", "band_high"):
+                got = np.array([float(r[name]) for r in block])
+                assert np.abs(got - getattr(res, name)).max() <= 1e-12
+
     def test_file_model_via_cli(self, tmp_path):
         ham = tmp_path / "c.ham"
         ham.write_text("L=3\nboundary=open\n1.0 X@0 X@1\n1.0 X@1 X@2\n"
@@ -250,9 +286,21 @@ class TestFormatsAndErrors:
         ("ed", ED_SMALL + "t = 1.0\n[projection]\nT = 0.0\n",
          "[projection] T"),
         ("ed", ED_SMALL + "t = -1.0 1.0\n", "[grid] t"),
+        ("ed", ED_SMALL + "t =\n", "[grid] t"),
         ("distribution", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
          "[window]\nt = 1.0\n[grid]\npoints = -2\n", "[grid] points"),
-    ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "distribution-points"])
+        ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
+         "t = -1.0 1.0\nalpha = 2\n[rank]\nepsilon = 0.1\n", "[grid] t"),
+        ("distribution", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
+         "[window]\nt = 0.0\n", "[window] t"),
+        ("rank", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
+         "[window]\nt = -1.0\n[sweep]\nepsilon = 0.1\n", "[window] t"),
+        ("rank", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
+         "[window]\nt = 1.0\n[sweep]\nepsilon = 0.1\ndelta_t = -0.5\n",
+         "[sweep] delta_t"),
+    ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "ed-no-t",
+            "distribution-points",
+            "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"

@@ -28,6 +28,7 @@ from qspan.ed import (
     first_overlap_crossing,
     ground_state,
     integrable_chain,
+    krylov_decomposition,
     polarized_state,
     projection_error,
     rank_curve,
@@ -469,6 +470,134 @@ class TestSnapshotPath:
         hidden = WeightFunction.from_callable(2.0, density)
         with pytest.raises(AccuracyError):
             averaged_state(sd, 0.0, 2.0, w=hidden)
+
+
+# the ed-collapse systems: (model, start) on either boundary
+COLLAPSE_KINDS = [("integrable", "z"), ("integrable", "x"),
+                  ("chaotic", "ground_state")]
+PROJECTION_TIMES = [1.37, 3.81]
+HORIZON = max(SNAPSHOT_TIMES + PROJECTION_TIMES)
+
+
+def collapse_system(model: str, start: str, L: int, boundary: str,
+                    J: float = 0.9):
+    if model == "chaotic":
+        return (chaotic_chain(L, J=J, boundary=boundary),
+                ground_state(chaotic_initial_chain(L, J=J, boundary=boundary)))
+    return integrable_chain(L, J=J, boundary=boundary), polarized_state(L, start)
+
+
+def state_at(sd, s) -> np.ndarray:
+    """Columns Psi_s = sum_n c_n e^{-iE_n s} |E_n> in the site basis."""
+    return sd.basis @ (sd.overlaps[:, None]
+                       * np.exp(-1j * np.outer(sd.energies, s)))
+
+
+def assert_same_observables(sdk, sdd, times, proj_times):
+    """Everything `qspan ed` reports, from a Krylov and a dense
+    decomposition: spectra to 1e-12, identical D, projection errors and
+    bands to 1e-12, e2 to 1e-12 relative."""
+    for t in times:
+        kry = averaged_state(sdk, 0.0, t)
+        den = averaged_state(sdd, 0.0, t)
+        assert kry.eigenvalues.size == sdk.dim
+        pad = np.pad(kry.eigenvalues, (0, sdd.dim - sdk.dim))
+        assert np.abs(pad - den.eigenvalues).max() <= 1e-12
+        eps = benchmark_schedule(t)
+        assert effective_rank(kry, eps).D == effective_rank(den, eps).D
+    for T in proj_times:
+        ts = np.linspace(0.0, T, 201)
+        kry = projection_error(sdk, T, benchmark_schedule(T), ts)
+        den = projection_error(sdd, T, benchmark_schedule(T), ts)
+        assert kry.D == den.D
+        for name in ("error", "band_low", "band_high"):
+            assert np.abs(getattr(kry, name) - getattr(den, name)).max() \
+                <= 1e-12
+    e2_kry = energy_cumulants(sdk, 2)[1]
+    e2_den = energy_cumulants(sdd, 2)[1]
+    assert abs(e2_kry - e2_den) <= 1e-12 * abs(e2_den)
+
+
+class TestKrylovDecomposition:
+    """The Lanczos route against the dense eigensolve it replaces."""
+
+    @pytest.mark.parametrize("L", [8, 9, 10])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("model, start", COLLAPSE_KINDS)
+    def test_matches_dense(self, model, start, boundary, L):
+        spec, psi0 = collapse_system(model, start, L, boundary)
+        sdk = krylov_decomposition(spec, psi0, HORIZON)
+        assert sdk.dim < 2 ** L
+        assert sdk.horizon == HORIZON and sdk.error <= 1e-13
+        assert_same_observables(sdk, spectral_decomposition(spec, psi0),
+                                SNAPSHOT_TIMES, PROJECTION_TIMES)
+
+    def test_matches_dense_at_l12(self, chaotic_12):
+        sdk = chaotic_12["krylov"]
+        assert sdk.dim < 2 ** 12
+        assert_same_observables(sdk, chaotic_12["sd"], [1.0, 2.5, 4.0],
+                                [1.0, 4.0])
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    @pytest.mark.parametrize("model, start, L, boundary", [
+        ("chaotic", "ground_state", 9, "periodic"),
+        ("integrable", "x", 8, "open")])
+    def test_error_bounds_the_state_error(self, monkeypatch, tol, model,
+                                          start, L, boundary):
+        spec, psi0 = collapse_system(model, start, L, boundary)
+        sdd = spectral_decomposition(spec, psi0)
+        monkeypatch.setattr(ed_module, "_KRYLOV_TOL", tol)
+        sdk = krylov_decomposition(spec, psi0, HORIZON)
+        s = np.linspace(-HORIZON, HORIZON, 1601)
+        true = np.linalg.norm(state_at(sdd, s) - state_at(sdk, s),
+                              axis=0).max()
+        h_norm = abs(_sparse_hamiltonian(spec)).sum(axis=1).max()
+        floor = np.finfo(float).eps * (1.0 + h_norm * HORIZON)
+        assert true > 1e-3 * tol          # the truncation shows
+        assert true - floor <= sdk.error <= tol
+
+    def test_closed_krylov_space_gives_dense_spectrum(self):
+        # the z-polarized start of the periodic integrable chain reaches 17
+        # levels; round-off adds Ritz levels of negligible weight
+        spec, psi0 = collapse_system("integrable", "z", 8, "periodic")
+        sdd = spectral_decomposition(spec, psi0)
+        weights = np.abs(sdd.overlaps) ** 2
+        reached = weights > 1e-24
+        assert reached.sum() == 17
+        for t_max in (HORIZON, 100.0, 1e4):
+            sdk = krylov_decomposition(spec, psi0, t_max)
+            assert sdk.dim < 32 and sdk.error <= 1e-10
+            ritz = np.abs(sdk.overlaps) ** 2
+            kept = ritz > 1e-16
+            assert ritz[~kept].sum() <= 1e-16
+            assert np.abs(sdk.energies[kept]
+                          - sdd.energies[reached]).max() <= 1e-12
+            assert np.abs(ritz[kept] - weights[reached]).max() <= 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda sd: averaged_state(sd, 0.0, 2.5),
+        lambda sd: averaged_state(sd, 1.0, 1.5),
+        lambda sd: averaged_state(sd, -2.5, 1.0),
+        lambda sd: projection_error(sd, 2.5, 0.1, [1.0]),
+        lambda sd: return_amplitude(sd, [0.5, -2.5]),
+        lambda sd: first_overlap_crossing(sd, 0.5, t_max=3.0),
+    ], ids=["window", "shifted-window", "negative-window", "projection",
+            "amplitude", "crossing"])
+    def test_times_beyond_horizon_raise(self, call):
+        spec, psi0 = collapse_system("integrable", "x", 8, "open")
+        sd = krylov_decomposition(spec, psi0, 2.0)
+        averaged_state(sd, 0.0, 2.0)           # up to the horizon is fine
+        return_amplitude(sd, [-2.0, 2.0])
+        with pytest.raises(DomainError, match="horizon"):
+            call(sd)
+
+    def test_rejects_bad_input(self):
+        spec, psi0 = collapse_system("integrable", "x", 4, "open")
+        for t_max in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                krylov_decomposition(spec, psi0, t_max)
+        with pytest.raises(DomainError):
+            krylov_decomposition(spec, 2.0 * psi0, 1.0)
 
 
 class TestEffectiveRank:

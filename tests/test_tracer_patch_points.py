@@ -34,6 +34,8 @@ def test_tracer_installs_and_restores_every_patch_point(tracing):
         saved = list(tr._saved)
         overlap.moments_quadrature(f, 100, 1, 0.3, 2)
         ed.averaged_state(sd, 0.0, 1.0)
+        ed.krylov_decomposition(ed.integrable_chain(4),
+                                ed.polarized_state(4, "x"), 1.0)
     finally:
         tr.uninstall()
     assert saved
@@ -42,4 +44,6 @@ def test_tracer_installs_and_restores_every_patch_point(tracing):
     _, calls = tr.self_times()
     assert calls["overlap.moments_quadrature.grid"] == 1
     assert calls["ed.averaged_state"] == 1
+    # booked to ed, not to the caller's self time
+    assert calls["ed.krylov_decomposition"] == 1
     assert calls["overlap.table"] >= 1
