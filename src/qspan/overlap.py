@@ -15,9 +15,13 @@ Rather than integrating over the window, `moments_quadrature` takes the
 spectrum of rho_bar itself: its nonzero eigenvalues are those of the Gram
 kernel exp(-L^d f(tau - tau'))/t on [0, t], discretized on Gauss-Legendre
 nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
-[0, t] and converges exponentially in the node count. The window-spectrum
-core `_window_spectrum` (node rule, purity settle test, doubling) is shared
-with `ed.averaged_state`, which feeds it the snapshot Gram matrix instead.
+[0, t] and converges exponentially in the node count. The nodes are
+symmetric under tau -> t - tau, which makes the Hermitian kernel
+centro-Hermitian, so it is solved as a real symmetric matrix of the same
+size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. The
+window-spectrum core `_window_spectrum` (node rule, purity settle test,
+doubling) is shared with `ed.averaged_state`, which feeds it the snapshot
+Gram matrix instead.
 
 f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
 which also supplies the rough e2 that picks the starting node count, so a
@@ -427,7 +431,7 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # ---------------------------------------------------------------------------
 
 _M_START = 32       # fewest nodes of a window
-_M_CAP = 2048       # eigvalsh of the cap takes seconds
+_M_CAP = 2048       # real eigvalsh of the cap takes about 0.26 s
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
 
@@ -451,16 +455,18 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
     composite Gauss-Legendre nodes tau_i, counts[k] of them on panel
     [edges[k], edges[k+1]], with the density (1/t when None) folded into
     the weights omega_i. The nodes ascend. `gram(tau, omega)` returns a
-    Hermitian matrix with that nonzero spectrum, of which only the lower
-    triangle, diagonal included, is read (`eigvalsh`): the upper triangle
-    may hold anything, and the Nystrom kernel leaves it zero. It is solved
-    at ceil(counts/2) and at counts, and both double until the purity
+    Hermitian matrix with that nonzero spectrum, or a real symmetric one
+    similar to it (the Nystrom kernel), of which only the lower triangle,
+    diagonal included, is read (`eigvalsh`): the upper triangle may hold
+    anything, and the Nystrom kernel leaves it zero. It is solved at
+    ceil(counts/2) and at counts, and both double until the purity
     sum lambda^2 agrees to `settle` relative plus `floor` (one rule for
-    every moment), or until a doubling would pass `cap` nodes in all. `settle` is 1e-11 and `floor` 0 for an
-    analytic G. A G interpolated by a cubic spline is only C^2: its
-    spectrum settles algebraically in the node count and the purity change
-    stalls at a level set by the spline's error, so the caller loosens
-    `settle` to its error budget and sets `floor` to that error.
+    every moment), or until a doubling would pass `cap` nodes in all.
+    `settle` is 1e-11 and `floor` 0 for an analytic G. A G interpolated by
+    a cubic spline is only C^2: its spectrum settles algebraically in the
+    node count and the purity change stalls at a level set by the spline's
+    error, so the caller loosens `settle` to its error budget and sets
+    `floor` to that error.
     """
     counts = np.asarray(counts, dtype=int)
     width = np.diff(edges)
@@ -485,6 +491,57 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
         coarse, counts = values, 2 * counts
 
 
+def _nystrom_gram(spline, sites: float, t: float):
+    """The Nystrom kernel of `moments_quadrature` on [0, t], in real form.
+
+    On m nodes symmetric under tau -> t - tau, with symmetric weights w,
+    the Hermitian kernel K_ij = sqrt(w_i w_j) exp(-sites f(tau_i - tau_j))
+    is centro-Hermitian, J K J = conj K with J the exchange matrix, since
+    f(-s) = conj f(s). With p = m/2 and the unitary
+    Q = [[I, iI], [J, -iJ]]/sqrt(2) it is similar to the real symmetric
+
+        R = Q^H K Q = [[Re(P + M), Im(M - P)], [Im(P + M), Re(P - M)]],
+
+    where P_ij = K_ij (i, j < p) is Hermitian and
+    M_ij = K_{i,m-1-j} = sqrt(w_i w_j) conj exp(-sites f(t - tau_i - tau_j))
+    is complex symmetric (A. Lee, Linear Algebra Appl. 29, 205 (1980)).
+    Both are evaluated on their lower triangles only, p(p + 1) lags in all,
+    each >= 0 as the nodes ascend, by one spline call and one exponential.
+    The returned `gram(tau, omega)` holds R's lower triangle, the only part
+    `_window_spectrum` reads, and zeros above it; like a Hermitian solver
+    it ignores the imaginary part of K's diagonal. m must be even.
+    """
+    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        m = tau.size
+        if m % 2:
+            raise ValueError(f"real Nystrom kernel needs an even node count, "
+                             f"got {m}")
+        p = m // 2
+        low = np.tri(p, dtype=bool)
+        head = tau[:p]
+        lags = np.concatenate((np.subtract.outer(head, head)[low],
+                               t - np.add.outer(head, head)[low]))
+        blocks = np.zeros((2, p, p), dtype=complex)
+        blocks[:, low] = np.exp(-sites * spline(lags)).reshape(2, -1)
+        herm, sym = blocks[0], blocks[1].conj()
+        plus = herm + sym
+        out = np.zeros((m, m))
+        out[:p, :p] = plus.real
+        out[p:, p:] = (herm - sym).real
+        # Im(P + M) on both triangles, from P^T = conj P and M^T = M; on
+        # the diagonal Im M alone
+        corner = out[p:, :p]
+        corner[...] = plus.imag + (sym - herm).imag.T
+        np.fill_diagonal(corner, sym.diagonal().imag)
+        root_w = np.sqrt(omega[:p])
+        root_w = np.concatenate((root_w, root_w))
+        out *= root_w[:, None]
+        out *= root_w
+        return out
+
+    return gram
+
+
 def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
                        alpha: int, scheme: str = "auto", seed: int = 0,
                        rtol: float | None = None,
@@ -495,14 +552,14 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
     nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
     for this analytic kernel), so the moment is sum_i lambda_i^alpha from
-    `_window_spectrum`, with f needed on [0, t] only. As the solver reads
-    only the lower triangle, f and the exponential are evaluated there
-    only, through a boolean mask (`np.tri`), where every lag
-    tau_i - tau_j >= 0 (the nodes ascend), so no lag needs the conjugation
-    f(-s) = conj f(s); the upper triangle stays zero. m starts at 32 and
-    doubles until it reaches sqrt(L^d e2) t, with e2 read off the
-    curvature 2 Re S(h)/h^2 of the table's spline S at h = 1e-3 t, so f is
-    read only through the first table the moment is solved on. From there
+    `_window_spectrum`, with f needed on [0, t] only. The nodes and weights
+    are symmetric under tau -> t - tau and f(-s) = conj f(s), so K is
+    centro-Hermitian and is solved in the real symmetric form
+    `_nystrom_gram` builds from p(p + 1) lags >= 0 (p = m/2), none of which
+    needs the conjugation. m starts at 32 and doubles until it reaches
+    sqrt(L^d e2) t, with e2 read off the curvature 2 Re S(h)/h^2 of the
+    table's spline S at h = 1e-3 t, so f is read only through the first
+    table the moment is solved on. From there
     the spectrum at m and 2m nodes doubles until the purities agree to the
     settle tolerance, or 2048 nodes are reached. `error` is the change of
     the moment from the last m/2 to m plus a round-off floor of 1e-12
@@ -543,17 +600,8 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
         m *= 2
 
     def moment(spline, floor: float):
-        def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
-            # tau ascends, so every lag of the lower triangle is >= 0
-            low = np.tri(tau.size, dtype=bool)
-            out = np.zeros((tau.size, tau.size), dtype=complex)
-            out[low] = np.exp(-sites * spline(np.subtract.outer(tau, tau)[low]))
-            root_w = np.sqrt(omega)
-            out *= root_w[:, None]
-            out *= root_w
-            return out
-
-        spec = _window_spectrum(gram, np.array([0.0, t]), [2 * m],
+        spec = _window_spectrum(_nystrom_gram(spline, sites, t),
+                                np.array([0.0, t]), [2 * m],
                                 settle=settle, floor=floor)
         value, prev = (float(np.sum(np.clip(v, 0.0, None) ** alpha))
                        for v in (spec.values, spec.coarse))

@@ -21,7 +21,7 @@ from qspan.overlap import (
     renyi_quadrature,
     second_cumulant_from_f,
 )
-from qspan.special import erf
+from qspan.special import _gauss_legendre, erf
 
 STRONG = IsingQuench(h_i=math.inf, h_f=1.5, J=1.0, k_grid=4096)
 
@@ -331,6 +331,51 @@ class TestMomentsQuadrature:
             moments_quadrature(f, 100, 1, 1.0, 3, scheme="fancy")
 
 
+class TestRealNystromKernel:
+    """The real form of the Nystrom kernel against the complex Hermitian
+    kernel it is similar to, built here on both triangles."""
+
+    FREE_ENERGIES = {
+        "scan": lambda: DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=math.inf, h_f=1.5, k_grid=512)),
+        # crosses the dynamical transition: f has kinks on the real axis
+        "crossing": lambda: DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=0.5, h_f=2.0, k_grid=512)),
+        "cumulants": lambda: DynamicalFreeEnergy.from_cumulants(
+            [0.3, 1.0, 0.2]),
+    }
+
+    @staticmethod
+    def complex_kernel(spline, sites, tau, omega):
+        lag = np.subtract.outer(tau, tau)
+        f = spline(np.abs(lag))
+        f = np.where(lag >= 0, f, np.conj(f))
+        root_w = np.sqrt(omega)
+        return root_w[:, None] * np.exp(-sites * f) * root_w
+
+    @pytest.mark.parametrize("kind", sorted(FREE_ENERGIES))
+    @pytest.mark.parametrize("L,t", [(100, 0.25), (400, 0.58), (10_000, 2.0)])
+    def test_spectrum_matches_complex_kernel(self, kind, L, t):
+        spline = self.FREE_ENERGIES[kind]().table(t)
+        gram = overlap._nystrom_gram(spline, float(L), t)
+        for m in (32, 64, 256):
+            x, w = _gauss_legendre(m)
+            tau, omega = t * x, w     # density 1/t folded into the weights
+            real = gram(tau, omega)
+            assert real.dtype == np.float64
+            assert not np.triu(real, 1).any()
+            got = np.linalg.eigvalsh(real)
+            ref = np.linalg.eigvalsh(
+                self.complex_kernel(spline, float(L), tau, omega))
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_odd_node_count_raises(self):
+        spline = self.FREE_ENERGIES["cumulants"]().table(0.5)
+        x, w = _gauss_legendre(33)
+        with pytest.raises(ValueError, match="even"):
+            overlap._nystrom_gram(spline, 100.0, 0.5)(0.5 * x, w)
+
+
 class TestBudgetedTable:
     """With `rtol`, `moments_quadrature` sizes its f-table by the error
     budget and reports the interpolation term in `error`."""
@@ -363,12 +408,12 @@ class TestBudgetedTable:
 
         f._eval_many = counted
         # value and error of the 4096-point path, pinned as float.hex
-        expect = {(100, 0.4, 2): ("0x1.8c7e6272f5b16p-2",
-                                  "0x1.b4830d54fc2c1p-42"),
-                  (400, 0.6, 3): ("0x1.7e7c530bc7bbep-6",
-                                  "0x1.8046119098be0p-45"),
-                  (200, 1.8, 4): ("0x1.e6fa99019fedep-12",
-                                  "0x1.0bf82fd6e5241p-51")}
+        expect = {(100, 0.4, 2): ("0x1.8c7e6272f5b17p-2",
+                                  "0x1.b5030d54fc2c2p-42"),
+                  (400, 0.6, 3): ("0x1.7e7c530bc7bc4p-6",
+                                  "0x1.8006119098be2p-45"),
+                  (200, 1.8, 4): ("0x1.e6fa99019fee4p-12",
+                                  "0x1.0c282fd6e5244p-51")}
         for (L, t, alpha), (value, error) in expect.items():
             est = moments_quadrature(f, L, 1, t, alpha)
             assert (est.value.hex(), est.error.hex()) == (value, error)
