@@ -28,13 +28,16 @@ cumulants per site together with their spatial densities.
 The nonzero spectrum of rho_bar is that of the snapshot matrix
 Psi_{ni} = c_n e^{-i E_n (t0 + tau_i)} sqrt(omega_i) on m Gauss-Legendre
 nodes tau_i of the window (weights omega_i with the density folded in):
-the window core `overlap._window_spectrum` takes the eigenvalues from the
-smaller Gram side (Psi^dag Psi or Psi Psi^dag) and settles m by the purity
-rule it shares with `overlap.moments_quadrature`; a thin SVD of Psi at the
-settled nodes gives the eigenvectors. Only when a uniform window needs
-m >= N nodes is the N x N energy-basis matrix c_m conj(c_n)
-e^{-i(E_m-E_n)t0} (e^{-iDt} - 1)/(-iDt), D = E_m - E_n, diagonalized
-instead; that form is exact at any t and its memory does not grow with t.
+the window core `overlap._window_spectrum` builds the smaller Gram side
+(Psi^dag Psi or Psi Psi^dag) and settles m by the rule it shares with
+`overlap.moments_quadrature`, on the purity read as the Gram matrix's
+squared Frobenius norm, with nothing factorized. Only the settled window is
+factorized, once: `eigvalsh` of its Gram matrix for the eigenvalues alone,
+or a thin SVD of Psi, whose squared singular values are the eigenvalues,
+when eigenvectors are wanted. When a uniform window needs m >= N nodes,
+the N x N energy-basis matrix c_m conj(c_n) e^{-i(E_m-E_n)t0}
+(e^{-iDt} - 1)/(-iDt), D = E_m - E_n, is diagonalized instead; that form
+is exact at any t and its memory does not grow with t.
 
 Site s of basis state |j> is bit L-1-s of j (site 0 the most significant,
 as in P_0 x P_1 x ...). A Pauli string with X or Y on the sites of
@@ -510,7 +513,8 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
     snapshot Gram matrix on m Gauss-Legendre nodes (composite panels split
     at `w.breakpoints` for a weighted window), taken from the window core
     `overlap._window_spectrum`: m starts at max(32, (E_max - E_min) t / 2)
-    and doubles until the purity at m/2 and at m agrees to 1e-11 relative.
+    and doubles until the purity at m/2 and at m, each read as the squared
+    Frobenius norm of its Gram matrix, agrees to 1e-11 relative.
     A uniform window that needs m >= N nodes, before the first solve or
     when the doubling reaches N, uses the exact N x N closed form instead,
     the only path whose memory does not grow with t; a weighted one that
@@ -519,8 +523,10 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
     Eigenvalues are returned descending and padded with zeros to N, the
     number of levels of `sd`, with values in [-1e-12, 0) clamped to zero;
     eigenvectors (energy-basis columns, same order) are attached on
-    request. Snapshot vectors come from one thin SVD at the settled node
-    set, so they are orthonormal by construction. A window reaching past
+    request. The settled window is factorized once: `eigvalsh` of its Gram
+    matrix, or with vectors a thin SVD of the snapshot matrix alone, whose
+    left singular vectors are orthonormal by construction and whose squared
+    singular values are the eigenvalues. A window reaching past
     `sd.horizon` on either side raises DomainError.
     """
     if t <= 0:
@@ -547,15 +553,18 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
                                 None if w is None else w._sample,
                                 dim - 1 if w is None else _WEIGHTED_CAP * dim)
     if spec is not None and spec.settled:
-        vals, vecs, nodes = spec.values, None, spec.tau.size
+        nodes = spec.tau.size
         if want_vectors:
-            vecs = np.linalg.svd(_snapshots(sd, t0, spec.tau, spec.omega),
-                                 full_matrices=False)[0]
+            vecs, sigma, _ = np.linalg.svd(
+                _snapshots(sd, t0, spec.tau, spec.omega), full_matrices=False)
+            vals = sigma ** 2
+        else:
+            vals, vecs = np.linalg.eigvalsh(spec.kernel)[::-1], None
     elif w is None:
         vals, vecs = _closed_form(sd, t0, t, want_vectors)
         nodes = 0
     else:
-        change = abs(spec.values @ spec.values - spec.coarse @ spec.coarse)
+        change = abs(spec.purity - spec.coarse_purity)
         raise AccuracyError(
             f"averaged-state purity changed by {change:.2e} from "
             f"{spec.tau.size // 2} to {spec.tau.size} nodes", achieved=change)

@@ -17,11 +17,14 @@ kernel exp(-L^d f(tau - tau'))/t on [0, t], discretized on Gauss-Legendre
 nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
 [0, t] and converges exponentially in the node count. The nodes are
 symmetric under tau -> t - tau, which makes the Hermitian kernel
-centro-Hermitian, so it is solved as a real symmetric matrix of the same
-size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. The
-window-spectrum core `_window_spectrum` (node rule, purity settle test,
-doubling) is shared with `ed.averaged_state`, which feeds it the snapshot
-Gram matrix instead.
+centro-Hermitian, so it is similar to a real symmetric matrix R of the same
+size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. For the
+integer alpha asked for, sum lambda^alpha is the power trace tr R^alpha, so
+no eigenvalue is computed. The window core `_window_spectrum` (node rule,
+doubling, and a settle test on the purity, the squared Frobenius norm of
+the kernel) factorizes nothing and is shared with `ed.averaged_state`,
+which feeds it the snapshot Gram matrix and factorizes the settled kernel
+once.
 
 f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
 which also supplies the rough e2 that picks the starting node count, so a
@@ -431,42 +434,57 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # ---------------------------------------------------------------------------
 
 _M_START = 32       # fewest nodes of a window
-_M_CAP = 2048       # real eigvalsh of the cap takes about 0.26 s
+_M_CAP = 2048       # its kernel and one power trace take ~0.08 s each
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
+_TILE = 64          # block edge of `_symmetric`'s transposed copy
 
 
-class _WindowSpectrum(NamedTuple):
-    values: np.ndarray    # descending, on the fine node set tau
-    coarse: np.ndarray    # descending, on half the nodes
+class _WindowKernel(NamedTuple):
+    kernel: np.ndarray    # on the fine node set tau; lower triangle read
+    coarse: np.ndarray    # the same on half the nodes
+    purity: float         # sum lambda^2 of kernel
+    coarse_purity: float
     tau: np.ndarray
     omega: np.ndarray     # weights of tau, density folded in
     settled: bool         # False when the cap ended the doubling
 
 
+def _purity(kernel: np.ndarray) -> float:
+    """sum lambda^2 of the Hermitian matrix whose lower triangle, diagonal
+    included, `kernel` holds: its squared Frobenius norm
+    2 sum_{i>j} |K_ij|^2 + sum_i (Re K_ii)^2. The upper triangle is not
+    read and, as in a Hermitian eigensolver, neither is Im K_ii."""
+    low = kernel[np.tri(kernel.shape[0], k=-1, dtype=bool)]
+    diag = kernel.diagonal().real
+    return float(2.0 * np.vdot(low, low).real + diag @ diag)
+
+
 def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
                      settle: float = _SETTLE,
-                     floor: float = 0.0) -> _WindowSpectrum:
-    """Spectrum of rho_bar = int omega(tau) |Psi_tau><Psi_tau| dtau, shared
-    by `moments_quadrature` and `ed.averaged_state`.
+                     floor: float = 0.0) -> _WindowKernel:
+    """The settled window of rho_bar = int omega(tau) |Psi_tau><Psi_tau|
+    dtau, shared by `moments_quadrature` and `ed.averaged_state`.
 
-    Its nonzero eigenvalues are those of the Gram kernel
+    The nonzero eigenvalues of rho_bar are those of the Gram kernel
     sqrt(omega_i) G(tau_i - tau_j) sqrt(omega_j), G(s) = <Psi_s|Psi_0>, on
     composite Gauss-Legendre nodes tau_i, counts[k] of them on panel
     [edges[k], edges[k+1]], with the density (1/t when None) folded into
     the weights omega_i. The nodes ascend. `gram(tau, omega)` returns a
     Hermitian matrix with that nonzero spectrum, or a real symmetric one
     similar to it (the Nystrom kernel), of which only the lower triangle,
-    diagonal included, is read (`eigvalsh`): the upper triangle may hold
-    anything, and the Nystrom kernel leaves it zero. It is solved at
-    ceil(counts/2) and at counts, and both double until the purity
-    sum lambda^2 agrees to `settle` relative plus `floor` (one rule for
-    every moment), or until a doubling would pass `cap` nodes in all.
-    `settle` is 1e-11 and `floor` 0 for an analytic G. A G interpolated by
-    a cubic spline is only C^2: its spectrum settles algebraically in the
-    node count and the purity change stalls at a level set by the spline's
-    error, so the caller loosens `settle` to its error budget and sets
-    `floor` to that error.
+    diagonal included, is read: the upper triangle may hold anything, and
+    the Nystrom kernel leaves it zero. Nothing is factorized. The kernel is
+    built at ceil(counts/2) and at counts, and both double until the
+    purities sum lambda^2, each the squared Frobenius norm of its kernel
+    (`_purity`), agree to `settle` relative plus `floor` (one rule for
+    every moment), or until a doubling would pass `cap` nodes in all. The
+    fine and coarse kernels are returned with their purities; the caller
+    takes their spectra or power traces. `settle` is 1e-11 and `floor` 0
+    for an analytic G. A G interpolated by a cubic spline is only C^2: its
+    spectrum settles algebraically in the node count and the purity change
+    stalls at a level set by the spline's error, so the caller loosens
+    `settle` to its error budget and sets `floor` to that error.
     """
     counts = np.asarray(counts, dtype=int)
     width = np.diff(edges)
@@ -478,17 +496,47 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
         omega = np.concatenate([h * g for h, (_, g) in zip(width, rules)])
         omega = omega / width.sum() if density is None \
             else omega * density(tau)
-        return np.linalg.eigvalsh(gram(tau, omega))[::-1], tau, omega
+        kernel = gram(tau, omega)
+        return kernel, _purity(kernel), tau, omega
 
-    coarse, _, _ = solve((counts + 1) // 2)
+    coarse, coarse_purity, _, _ = solve((counts + 1) // 2)
     while True:
-        values, tau, omega = solve(counts)
-        purity = float(values @ values)
-        settled = abs(purity - float(coarse @ coarse)) \
-            <= settle * purity + floor
+        kernel, purity, tau, omega = solve(counts)
+        settled = abs(purity - coarse_purity) <= settle * purity + floor
         if settled or 2 * tau.size > cap:
-            return _WindowSpectrum(values, coarse, tau, omega, settled)
-        coarse, counts = values, 2 * counts
+            return _WindowKernel(kernel, coarse, purity, coarse_purity,
+                                 tau, omega, settled)
+        coarse, coarse_purity, counts = kernel, purity, 2 * counts
+
+
+def _symmetric(low: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle, diagonal included, `low`
+    holds; the upper triangle of `low` is not read. The transpose is copied
+    in _TILE x _TILE blocks: at the 2048-node cap one strided pass took
+    about 0.1 s, longer than the matrix product it feeds, and the blocks
+    0.02 s."""
+    m = low.shape[0]
+    full = low.copy()
+    tri = np.tri(min(m, _TILE), dtype=bool)
+    for i in range(0, m, _TILE):
+        j = i + _TILE
+        block = full[i:j, i:j]
+        n = block.shape[0]
+        block[...] = np.where(tri[:n, :n], block, block.T)
+        for k in range(j, m, _TILE):
+            full[i:j, k:k + _TILE] = low[k:k + _TILE, i:j].T
+    return full
+
+
+def _power_trace(kernel: np.ndarray, purity: float, alpha: int) -> float:
+    """tr R^alpha (alpha = 2, 3, 4) of the real symmetric R whose lower
+    triangle `kernel` holds, with `purity` = tr R^2 given: sum R o R^2 for
+    alpha = 3 and ||R^2||_F^2 for alpha = 4, one matrix product."""
+    if alpha == 2:
+        return purity
+    full = _symmetric(kernel)
+    square = full @ full
+    return float(np.vdot(full if alpha == 3 else square, square))
 
 
 def _nystrom_gram(spline, sites: float, t: float):
@@ -508,8 +556,9 @@ def _nystrom_gram(spline, sites: float, t: float):
     Both are evaluated on their lower triangles only, p(p + 1) lags in all,
     each >= 0 as the nodes ascend, by one spline call and one exponential.
     The returned `gram(tau, omega)` holds R's lower triangle, the only part
-    `_window_spectrum` reads, and zeros above it; like a Hermitian solver
-    it ignores the imaginary part of K's diagonal. m must be even.
+    `_window_spectrum` and `_power_trace` read, and zeros above it; like a
+    Hermitian solver it ignores the imaginary part of K's diagonal. m must
+    be even.
     """
     def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
         m = tau.size
@@ -551,18 +600,20 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     The nonzero spectrum of rho_bar is that of the Hermitian Gram kernel
     K_ij = sqrt(w_i w_j)/t exp(-L^d f(tau_i - tau_j)) on m Gauss-Legendre
     nodes tau_i of [0, t] (Nystrom discretization, exponentially convergent
-    for this analytic kernel), so the moment is sum_i lambda_i^alpha from
-    `_window_spectrum`, with f needed on [0, t] only. The nodes and weights
-    are symmetric under tau -> t - tau and f(-s) = conj f(s), so K is
-    centro-Hermitian and is solved in the real symmetric form
+    for this analytic kernel), with f needed on [0, t] only. The nodes and
+    weights are symmetric under tau -> t - tau and f(-s) = conj f(s), so K
+    is centro-Hermitian and similar to the real symmetric R that
     `_nystrom_gram` builds from p(p + 1) lags >= 0 (p = m/2), none of which
-    needs the conjugation. m starts at 32 and doubles until it reaches
+    needs the conjugation. The moment sum_i lambda_i^alpha is the power
+    trace tr R^alpha, with no eigensolve: the purity itself for alpha = 2,
+    sum R o R^2 for alpha = 3 and ||R^2||_F^2 for alpha = 4
+    (`_power_trace`). m starts at 32 and doubles until it reaches
     sqrt(L^d e2) t, with e2 read off the curvature 2 Re S(h)/h^2 of the
     table's spline S at h = 1e-3 t, so f is read only through the first
-    table the moment is solved on. From there
-    the spectrum at m and 2m nodes doubles until the purities agree to the
-    settle tolerance, or 2048 nodes are reached. `error` is the change of
-    the moment from the last m/2 to m plus a round-off floor of 1e-12
+    table the moment is solved on. From there `_window_spectrum` doubles
+    the kernels at m and 2m nodes until their Frobenius purities agree to
+    the settle tolerance, or 2048 nodes are reached. `error` is the change
+    of the moment from the last m/2 to m plus a round-off floor of 1e-12
     relative.
 
     Without `rtol`, f comes from the 4096-points-per-unit table
@@ -600,11 +651,11 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
         m *= 2
 
     def moment(spline, floor: float):
-        spec = _window_spectrum(_nystrom_gram(spline, sites, t),
-                                np.array([0.0, t]), [2 * m],
-                                settle=settle, floor=floor)
-        value, prev = (float(np.sum(np.clip(v, 0.0, None) ** alpha))
-                       for v in (spec.values, spec.coarse))
+        win = _window_spectrum(_nystrom_gram(spline, sites, t),
+                               np.array([0.0, t]), [2 * m],
+                               settle=settle, floor=floor)
+        value = _power_trace(win.kernel, win.purity, alpha)
+        prev = _power_trace(win.coarse, win.coarse_purity, alpha)
         return value, abs(value - prev)
 
     value, err = moment(spline, bound)

@@ -399,6 +399,29 @@ class TestSnapshotPath:
         assert np.abs(res.band_low - low).max() < 1e-10
         assert np.abs(res.band_high - high).max() < 1e-10
 
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_settled_window_is_factorized_once(self, snapshot_system,
+                                               monkeypatch, want_vectors):
+        # the window doubles once at this t (three node counts), and only
+        # the settled one is factorized: eigvalsh of its Gram matrix, or
+        # with vectors the thin SVD of the snapshots alone
+        calls = []
+
+        def counted(name, solver):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+            return wrapper
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eigvalsh", "eigh", "svd"):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        spec_t = averaged_state(snapshot_system, 0.0, 3.81,
+                                want_vectors=want_vectors)
+        assert 0 < spec_t.nodes < snapshot_system.dim
+        assert calls == (["svd"] if want_vectors else ["eigvalsh"])
+
     def test_vectors_orthonormal(self, snapshot_system):
         sd = snapshot_system
         spec_t = averaged_state(sd, 0.0, 2.6, want_vectors=True)

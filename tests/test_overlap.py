@@ -323,6 +323,19 @@ class TestMomentsQuadrature:
         ref = moments_quadrature(base, 100, 1, t, 4)
         assert got.value == pytest.approx(ref.value, rel=1e-8)
 
+    def test_no_factorization(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("moments_quadrature factorized a matrix")
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(overlap.np.linalg, name, forbidden)
+        f = DynamicalFreeEnergy.from_ising(
+            IsingQuench(h_i=math.inf, h_f=1.5, k_grid=512))
+        for alpha in (2, 3, 4):
+            for rtol in (None, 0.05):
+                est = moments_quadrature(f, 400, 1, 0.6, alpha, rtol=rtol)
+                assert 0 < est.value < 1
+
     def test_domain(self):
         f = DynamicalFreeEnergy.from_cumulants([0.0, 1.0])
         with pytest.raises(DomainError):
@@ -369,6 +382,30 @@ class TestRealNystromKernel:
                 self.complex_kernel(spline, float(L), tau, omega))
             assert np.max(np.abs(got - ref)) <= 1e-14
 
+    @staticmethod
+    def assert_power_traces_match_spectrum(gram, t, m):
+        x, w = _gauss_legendre(m)
+        real = gram(t * x, w)
+        lam = np.linalg.eigvalsh(real)
+        purity = overlap._purity(real)
+        for alpha in (2, 3, 4):
+            ref = float(np.sum(lam ** alpha))
+            got = overlap._power_trace(real, purity, alpha)
+            assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("kind", sorted(FREE_ENERGIES))
+    @pytest.mark.parametrize("L,t", [(100, 0.25), (400, 0.58), (10_000, 2.0)])
+    def test_power_traces_match_spectrum(self, kind, L, t):
+        spline = self.FREE_ENERGIES[kind]().table(t)
+        gram = overlap._nystrom_gram(spline, float(L), t)
+        for m in (32, 64, 256):
+            self.assert_power_traces_match_spectrum(gram, t, m)
+
+    def test_power_traces_match_spectrum_at_the_cap(self):
+        spline = self.FREE_ENERGIES["scan"]().table(2.0)
+        gram = overlap._nystrom_gram(spline, 1e4, 2.0)
+        self.assert_power_traces_match_spectrum(gram, 2.0, overlap._M_CAP)
+
     def test_odd_node_count_raises(self):
         spline = self.FREE_ENERGIES["cumulants"]().table(0.5)
         x, w = _gauss_legendre(33)
@@ -408,12 +445,12 @@ class TestBudgetedTable:
 
         f._eval_many = counted
         # value and error of the 4096-point path, pinned as float.hex
-        expect = {(100, 0.4, 2): ("0x1.8c7e6272f5b17p-2",
-                                  "0x1.b5030d54fc2c2p-42"),
-                  (400, 0.6, 3): ("0x1.7e7c530bc7bc4p-6",
-                                  "0x1.8006119098be2p-45"),
-                  (200, 1.8, 4): ("0x1.e6fa99019fee4p-12",
-                                  "0x1.0c282fd6e5244p-51")}
+        expect = {(100, 0.4, 2): ("0x1.8c7e6272f5b15p-2",
+                                  "0x1.b4430d54fc2c0p-42"),
+                  (400, 0.6, 3): ("0x1.7e7c530bc7bbep-6",
+                                  "0x1.8036119098be0p-45"),
+                  (200, 1.8, 4): ("0x1.e6fa99019fee1p-12",
+                                  "0x1.0c302fd6e5243p-51")}
         for (L, t, alpha), (value, error) in expect.items():
             est = moments_quadrature(f, L, 1, t, alpha)
             assert (est.value.hex(), est.error.hex()) == (value, error)
@@ -545,37 +582,50 @@ class TestOneWindowCore:
     @pytest.mark.parametrize("caller", ["nystrom", "snapshots"])
     def test_only_the_lower_triangle_is_read(self, chains, monkeypatch,
                                              caller):
-        # both callers' kernels with the upper triangle set to NaN give the
-        # spectra of their Hermitian completions: a solver that reads the
-        # upper triangle, or checks finiteness, fails here
+        # each caller runs once with its kernels' upper triangle set to NaN
+        # and once on their Hermitian completions: the purities, and the
+        # moments or spectra the caller takes from the settled kernels, agree
+        # bit for bit, so neither the core nor the caller reads the upper
+        # triangle or checks finiteness
         core = overlap._window_spectrum
-        calls = []
-
-        def spy(gram, *args, **kwargs):
-            calls.append((gram, args, kwargs))
-            return core(gram, *args, **kwargs)
-
         sd = chains[10]
-        if caller == "nystrom":
-            monkeypatch.setattr(overlap, "_window_spectrum", spy)
-            moments_quadrature(_ed_free_energy(sd, 10, 1.5), 10, 1, 1.5, 2)
-        else:
-            monkeypatch.setattr(ed, "_window_spectrum", spy)
-            ed.averaged_state(sd, 0.3, 1.5)
-        assert calls
-        for gram, args, kwargs in calls:
-            def upper_nan(tau, omega, gram=gram):
+        f = _ed_free_energy(sd, 10, 1.5)
+        upper = []
+
+        def upper_nan(gram):
+            def filled(tau, omega):
                 g = gram(tau, omega).copy()
+                upper.append(np.triu(g, 1).any())
                 g[np.triu_indices(tau.size, 1)] = np.nan
                 return g
+            return filled
 
-            def hermitian(tau, omega, gram=gram):
+        def hermitian(gram):
+            def filled(tau, omega):
                 low = np.tril(gram(tau, omega))
                 return low + np.tril(low, -1).conj().T
+            return filled
 
-            full = core(hermitian, *args, **kwargs)
-            got = core(upper_nan, *args, **kwargs)
-            assert np.array_equal(got.values, full.values)
-            assert np.array_equal(got.coarse, full.coarse)
-            if caller == "nystrom":     # zeros above the diagonal, not garbage
-                assert not np.triu(gram(full.tau, full.omega), 1).any()
+        def run(fill):
+            windows = []
+
+            def spy(gram, *args, **kwargs):
+                windows.append(core(fill(gram), *args, **kwargs))
+                return windows[-1]
+
+            with monkeypatch.context() as patch:
+                if caller == "nystrom":
+                    patch.setattr(overlap, "_window_spectrum", spy)
+                    out = [moments_quadrature(f, 10, 1, 1.5, alpha)
+                           for alpha in (2, 3, 4)]
+                else:
+                    patch.setattr(ed, "_window_spectrum", spy)
+                    out = ed.averaged_state(sd, 0.3, 1.5).eigenvalues
+            return [(w.purity, w.coarse_purity) for w in windows], out
+
+        got_purities, got = run(upper_nan)
+        full_purities, full = run(hermitian)
+        assert got_purities and got_purities == full_purities
+        assert np.array_equal(got, full)
+        if caller == "nystrom":     # zeros above the diagonal, not garbage
+            assert not any(upper)
