@@ -589,7 +589,6 @@ class TestOneWindowCore:
         # triangle or checks finiteness
         core = overlap._window_spectrum
         sd = chains[10]
-        f = _ed_free_energy(sd, 10, 1.5)
         upper = []
 
         def upper_nan(gram):
@@ -616,6 +615,7 @@ class TestOneWindowCore:
             with monkeypatch.context() as patch:
                 if caller == "nystrom":
                     patch.setattr(overlap, "_window_spectrum", spy)
+                    f = _ed_free_energy(sd, 10, 1.5)
                     out = [moments_quadrature(f, 10, 1, 1.5, alpha)
                            for alpha in (2, 3, 4)]
                 else:
