@@ -106,7 +106,7 @@ def _get_ints(cfg, section, key, required=False):
         return None
     out = []
     for v in vals:
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"[{section}] {key}: expected integers")
         out.append(int(v))
     return out
@@ -300,13 +300,18 @@ def _parse_quench(cfg) -> ovl.IsingQuench:
 
 def cmd_ising(cfg, out: Path, fmt: str) -> None:
     quench = _parse_quench(cfg)
-    t = _get_float(cfg, "window", "t", required=True)
-    l_list = _get_ints(cfg, "grid", "L", required=True)
+    t = _window_t(cfg)
+    l_list = _require_positive(_get_ints(cfg, "grid", "L", required=True),
+                               "[grid] L")
     if sorted(l_list) != l_list:
         raise ConfigError("[grid] L must be sorted ascending")
     alphas = _get_ints(cfg, "grid", "alpha", required=True)
+    if not set(alphas) <= {2, 3, 4}:
+        raise ConfigError("[grid] alpha must be among 2, 3, 4")
     scheme = _get(cfg, "quadrature", "scheme", default="auto")
     rtol = _get_float(cfg, "quadrature", "rtol", default=None)
+    if rtol is not None:
+        _require_positive([rtol], "[quadrature] rtol")
     f_times = _get_floats(cfg, "samples", "t", required=False) or []
 
     f = ovl.DynamicalFreeEnergy.from_ising(quench)

@@ -305,10 +305,9 @@ class DynamicalFreeEnergy:
 
         def eval_many(ts, _s=spline, _tmax=float(times[-1])):
             ts = np.asarray(ts, dtype=float)
-            if np.any(np.abs(ts) > _tmax * (1 + 1e-12)):
+            if np.any(ts > _tmax * (1 + 1e-12)):
                 raise DomainError("tabulated f evaluated outside its range")
-            vals = _s(np.abs(ts))
-            return np.where(ts >= 0, vals, np.conj(vals))
+            return _s(ts)
 
         return cls("tabulated", eval_many, {"t_max": float(times[-1])})
 
@@ -437,11 +436,10 @@ _M_START = 32       # fewest nodes of a window
 _M_CAP = 2048       # its kernel and one power trace take ~0.08 s each
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
-_TILE = 64          # block edge of `_symmetric`'s transposed copy
 
 
 class _WindowKernel(NamedTuple):
-    kernel: np.ndarray    # on the fine node set tau; lower triangle read
+    kernel: np.ndarray    # on the fine node set tau
     coarse: np.ndarray    # the same on half the nodes
     purity: float         # sum lambda^2 of kernel
     coarse_purity: float
@@ -451,13 +449,9 @@ class _WindowKernel(NamedTuple):
 
 
 def _purity(kernel: np.ndarray) -> float:
-    """sum lambda^2 of the Hermitian matrix whose lower triangle, diagonal
-    included, `kernel` holds: its squared Frobenius norm
-    2 sum_{i>j} |K_ij|^2 + sum_i (Re K_ii)^2. The upper triangle is not
-    read and, as in a Hermitian eigensolver, neither is Im K_ii."""
-    low = kernel[np.tri(kernel.shape[0], k=-1, dtype=bool)]
-    diag = kernel.diagonal().real
-    return float(2.0 * np.vdot(low, low).real + diag @ diag)
+    """sum lambda^2 of a Hermitian (or real symmetric) kernel: its squared
+    Frobenius norm."""
+    return float(np.vdot(kernel, kernel).real)
 
 
 def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
@@ -470,21 +464,20 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
     sqrt(omega_i) G(tau_i - tau_j) sqrt(omega_j), G(s) = <Psi_s|Psi_0>, on
     composite Gauss-Legendre nodes tau_i, counts[k] of them on panel
     [edges[k], edges[k+1]], with the density (1/t when None) folded into
-    the weights omega_i. The nodes ascend. `gram(tau, omega)` returns a
-    Hermitian matrix with that nonzero spectrum, or a real symmetric one
-    similar to it (the Nystrom kernel), of which only the lower triangle,
-    diagonal included, is read: the upper triangle may hold anything, and
-    the Nystrom kernel leaves it zero. Nothing is factorized. The kernel is
-    built at ceil(counts/2) and at counts, and both double until the
-    purities sum lambda^2, each the squared Frobenius norm of its kernel
-    (`_purity`), agree to `settle` relative plus `floor` (one rule for
-    every moment), or until a doubling would pass `cap` nodes in all. The
-    fine and coarse kernels are returned with their purities; the caller
-    takes their spectra or power traces. `settle` is 1e-11 and `floor` 0
-    for an analytic G. A G interpolated by a cubic spline is only C^2: its
-    spectrum settles algebraically in the node count and the purity change
-    stalls at a level set by the spline's error, so the caller loosens
-    `settle` to its error budget and sets `floor` to that error.
+    the weights omega_i. The nodes ascend. `gram(tau, omega)` returns the
+    full Hermitian matrix with that nonzero spectrum, or a full real
+    symmetric one similar to it (the Nystrom kernel). Nothing is
+    factorized. The kernel is built at ceil(counts/2) and at counts, and
+    both double until the purities sum lambda^2, each the squared
+    Frobenius norm of its kernel (`_purity`), agree to `settle` relative
+    plus `floor` (one rule for every moment), or until a doubling would
+    pass `cap` nodes in all. The fine and coarse kernels are returned with
+    their purities; the caller takes their spectra or power traces.
+    `settle` is 1e-11 and `floor` 0 for an analytic G. A G interpolated by
+    a cubic spline is only C^2: its spectrum settles algebraically in the
+    node count and the purity change stalls at a level set by the spline's
+    error, so the caller loosens `settle` to its error budget and sets
+    `floor` to that error.
     """
     counts = np.asarray(counts, dtype=int)
     width = np.diff(edges)
@@ -509,34 +502,14 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
         coarse, coarse_purity, counts = kernel, purity, 2 * counts
 
 
-def _symmetric(low: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose lower triangle, diagonal included, `low`
-    holds; the upper triangle of `low` is not read. The transpose is copied
-    in _TILE x _TILE blocks: at the 2048-node cap one strided pass took
-    about 0.1 s, longer than the matrix product it feeds, and the blocks
-    0.02 s."""
-    m = low.shape[0]
-    full = low.copy()
-    tri = np.tri(min(m, _TILE), dtype=bool)
-    for i in range(0, m, _TILE):
-        j = i + _TILE
-        block = full[i:j, i:j]
-        n = block.shape[0]
-        block[...] = np.where(tri[:n, :n], block, block.T)
-        for k in range(j, m, _TILE):
-            full[i:j, k:k + _TILE] = low[k:k + _TILE, i:j].T
-    return full
-
-
 def _power_trace(kernel: np.ndarray, purity: float, alpha: int) -> float:
-    """tr R^alpha (alpha = 2, 3, 4) of the real symmetric R whose lower
-    triangle `kernel` holds, with `purity` = tr R^2 given: sum R o R^2 for
-    alpha = 3 and ||R^2||_F^2 for alpha = 4, one matrix product."""
+    """tr R^alpha (alpha = 2, 3, 4) of the real symmetric R = `kernel`, with
+    `purity` = tr R^2 given: sum R o R^2 for alpha = 3 and ||R^2||_F^2 for
+    alpha = 4, one matrix product."""
     if alpha == 2:
         return purity
-    full = _symmetric(kernel)
-    square = full @ full
-    return float(np.vdot(full if alpha == 3 else square, square))
+    square = kernel @ kernel
+    return float(np.vdot(kernel if alpha == 3 else square, square))
 
 
 def _nystrom_gram(spline, sites: float, t: float):
@@ -553,12 +526,10 @@ def _nystrom_gram(spline, sites: float, t: float):
     where P_ij = K_ij (i, j < p) is Hermitian and
     M_ij = K_{i,m-1-j} = sqrt(w_i w_j) conj exp(-sites f(t - tau_i - tau_j))
     is complex symmetric (A. Lee, Linear Algebra Appl. 29, 205 (1980)).
-    Both are evaluated on their lower triangles only, p(p + 1) lags in all,
-    each >= 0 as the nodes ascend, by one spline call and one exponential.
-    The returned `gram(tau, omega)` holds R's lower triangle, the only part
-    `_window_spectrum` and `_power_trace` read, and zeros above it; like a
-    Hermitian solver it ignores the imaginary part of K's diagonal. m must
-    be even.
+    Both are evaluated on their lower triangles, p(p + 1) lags in all, each
+    >= 0 as the nodes ascend, by one spline call and one exponential, and
+    completed by mirroring, P with a real diagonal (f(0) = 0). The returned
+    `gram(tau, omega)` is R, exactly symmetric. m must be even.
     """
     def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
         m = tau.size
@@ -568,24 +539,22 @@ def _nystrom_gram(spline, sites: float, t: float):
         p = m // 2
         low = np.tri(p, dtype=bool)
         head = tau[:p]
+        root_w = np.sqrt(omega[:p])
         lags = np.concatenate((np.subtract.outer(head, head)[low],
                                t - np.add.outer(head, head)[low]))
         blocks = np.zeros((2, p, p), dtype=complex)
-        blocks[:, low] = np.exp(-sites * spline(lags)).reshape(2, -1)
+        blocks[:, low] = np.exp(-sites * spline(lags)).reshape(2, -1) \
+            * np.multiply.outer(root_w, root_w)[low]
         herm, sym = blocks[0], blocks[1].conj()
-        plus = herm + sym
-        out = np.zeros((m, m))
+        herm += np.tril(herm, -1).conj().T
+        np.fill_diagonal(herm.imag, 0.0)
+        sym += np.tril(sym, -1).T
+        plus, minus = herm + sym, herm - sym
+        out = np.empty((m, m))
         out[:p, :p] = plus.real
-        out[p:, p:] = (herm - sym).real
-        # Im(P + M) on both triangles, from P^T = conj P and M^T = M; on
-        # the diagonal Im M alone
-        corner = out[p:, :p]
-        corner[...] = plus.imag + (sym - herm).imag.T
-        np.fill_diagonal(corner, sym.diagonal().imag)
-        root_w = np.sqrt(omega[:p])
-        root_w = np.concatenate((root_w, root_w))
-        out *= root_w[:, None]
-        out *= root_w
+        out[:p, p:] = -minus.imag
+        out[p:, :p] = plus.imag
+        out[p:, p:] = minus.real
         return out
 
     return gram

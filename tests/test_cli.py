@@ -18,6 +18,8 @@ def run_ok(args):
 # an L = 4 ed system; the [grid] section is left open for its t line
 ED_SMALL = ("[system]\nmodel = integrable\nL = 4\ninitial = polarized_z\n"
             "[grid]\n")
+ISING_SMALL = ("[quench]\nh_i = inf\nh_f = 1.5\nk_grid = 64\n"
+               "[window]\nt = 0.3\n[grid]\nL = 36\nalpha = 2\n")
 
 
 def read_rows(path):
@@ -298,9 +300,21 @@ class TestFormatsAndErrors:
         ("rank", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
          "[window]\nt = 1.0\n[sweep]\nepsilon = 0.1\ndelta_t = -0.5\n",
          "[sweep] delta_t"),
+        ("ising", ISING_SMALL.replace("h_i = inf", "h_i = 1.5")
+         .replace("t = 0.3", "t = -0.5"), "[window] t"),
+        ("ising", ISING_SMALL + "[quadrature]\nrtol = -0.01\n",
+         "[quadrature] rtol"),
+        ("ising", ISING_SMALL + "[quadrature]\nrtol = nan\n",
+         "[quadrature] rtol"),
+        ("ising", ISING_SMALL.replace("alpha = 2", "alpha = 2 5"),
+         "[grid] alpha"),
+        ("ising", ISING_SMALL.replace("L = 36", "L = 0 36"), "[grid] L"),
+        ("ising", ISING_SMALL.replace("L = 36", "L = nan"), "[grid] L"),
     ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "ed-no-t",
             "distribution-points",
-            "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t"])
+            "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t",
+            "ising-t", "ising-rtol", "ising-rtol-nan", "ising-alpha",
+            "ising-L", "ising-L-nan"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"
