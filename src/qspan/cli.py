@@ -294,8 +294,8 @@ def _parse_quench(cfg) -> ovl.IsingQuench:
     k_grid = _get_int(cfg, "quench", "k_grid", default=4096)
     try:
         return ovl.IsingQuench(h_i=h_i, h_f=h_f, J=J, k_grid=k_grid)
-    except DomainError as exc:
-        raise ConfigError(f"[quench]: {exc}") from exc
+    except DomainError as exc:     # its message starts with the key
+        raise ConfigError(f"[quench] {exc}") from exc
 
 
 def cmd_ising(cfg, out: Path, fmt: str) -> None:
@@ -309,6 +309,9 @@ def cmd_ising(cfg, out: Path, fmt: str) -> None:
     if not set(alphas) <= {2, 3, 4}:
         raise ConfigError("[grid] alpha must be among 2, 3, 4")
     scheme = _get(cfg, "quadrature", "scheme", default="auto")
+    if scheme not in ("auto", "grid", "mc"):
+        raise ConfigError(f"[quadrature] scheme: unknown {scheme!r}; "
+                          "expected auto, grid or mc")
     rtol = _get_float(cfg, "quadrature", "rtol", default=None)
     if rtol is not None:
         _require_positive([rtol], "[quadrature] rtol")

@@ -45,6 +45,7 @@ the integral, dropping exponentially small finite-size effects).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -104,7 +105,8 @@ class IsingQuench:
 
     `h_i = math.inf` is first class and uses the analytic limit of the
     Bogoliubov angle. `k_grid` sets the composite-Simpson resolution on
-    [0, pi] (rounded up to an even interval count).
+    [0, pi] (rounded up to an even interval count). J must be positive and
+    finite, h_f finite and h_i not NaN; otherwise DomainError.
     """
 
     h_i: float
@@ -113,8 +115,12 @@ class IsingQuench:
     k_grid: int = 4096
 
     def __post_init__(self):
-        if self.J <= 0:
-            raise DomainError("coupling J must be positive")
+        if not 0 < self.J < math.inf:     # NaN fails too
+            raise DomainError("J must be positive and finite")
+        if not math.isfinite(self.h_f):
+            raise DomainError("h_f must be finite")
+        if math.isnan(self.h_i):
+            raise DomainError("h_i must not be NaN")
         if self.k_grid < 64:
             raise DomainError("k_grid must be at least 64")
 
@@ -512,6 +518,66 @@ def _power_trace(kernel: np.ndarray, purity: float, alpha: int) -> float:
     return float(np.vdot(kernel if alpha == 3 else square, square))
 
 
+_STRIP = 1 << 16    # kernel entries per gather strip: 512 KB of temporaries
+
+
+class _GramPlan(NamedTuple):
+    """Index plan of the real Nystrom kernel on m = 2p nodes (`_gram_plan`).
+    All arrays are read-only int32."""
+    pairs: np.ndarray    # tril_indices(p) as rows: the node pairs i >= j
+    first: np.ndarray    # m x m: R = values[first] + values[second]
+    second: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)   # a window needs two: p and p/2
+def _gram_plan(p: int) -> _GramPlan:
+    """Where each entry of the real Nystrom kernel R comes from, for p.
+
+    With n = p(p + 1)/2 pairs i >= j, k(i, j) = i(i + 1)/2 + j in
+    `tril_indices(p)` order, `_nystrom_gram` lays the weighted values
+    v0 (lags tau_i - tau_j) and v1 (lags t - tau_i - tau_j) out as floats,
+    values = [Re v0_0, Im v0_0, ..., Re v1_0, Im v1_0, ..., +0], 4n + 1
+    entries, followed by their negatives. Every entry of R is one sum of
+    two of these, with k = k(max(i, j), min(i, j)):
+
+        R[i, j]         = Re v0_k + Re v1_k
+        R[p + i, p + j] = Re v0_k - Re v1_k
+        R[p + i, j]     = Im v0_k - Im v1_k (i > j), -Im v0_k - Im v1_k
+                          (i < j), +0 - Im v1_k (i = j)
+        R[i, p + j]     = R[p + j, i], with -0 for +0 on the diagonal,
+
+    the same two numbers in the same IEEE sum as the complex completion of
+    the blocks P and M, so R is unchanged wherever it is nonzero. The two
+    m x m index arrays are int32 and are built without m^2-sized int64
+    temporaries: the plan at the 2048-node cap holds 36 MiB.
+    """
+    pairs = np.stack(np.tril_indices(p)).astype(np.int32)
+    n = pairs.shape[1]
+    zero, neg = 4 * n, 4 * n + 1     # +0 and the offset of the negatives
+    r = np.arange(p, dtype=np.int32)
+    tri = r * (r + 1) // 2
+    two_k = 2 * (np.maximum.outer(tri, tri) + np.minimum.outer(r, r))
+    below = np.tri(p, k=-1, dtype=bool)
+    m = 2 * p
+    first = np.empty((m, m), dtype=np.int32)
+    second = np.empty((m, m), dtype=np.int32)
+    first[:p, :p] = two_k                                     # Re v0
+    first[p:, p:] = two_k
+    im_v0, minus_im_v0 = two_k + 1, two_k + (neg + 1)
+    first[p:, :p] = np.where(below, im_v0, minus_im_v0)
+    first[:p, p:] = np.where(below, minus_im_v0, im_v0)
+    first[p + r, r] = zero
+    first[r, p + r] = neg + zero                              # -0
+    second[:p, :p] = two_k + 2 * n                            # Re v1
+    second[p:, p:] = two_k + (neg + 2 * n)                    # -Re v1
+    second[p:, :p] = two_k + (neg + 2 * n + 1)                # -Im v1
+    second[:p, p:] = second[p:, :p]
+    plan = _GramPlan(pairs, first, second)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _nystrom_gram(spline, sites: float, t: float):
     """The Nystrom kernel of `moments_quadrature` on [0, t], in real form.
 
@@ -527,34 +593,45 @@ def _nystrom_gram(spline, sites: float, t: float):
     M_ij = K_{i,m-1-j} = sqrt(w_i w_j) conj exp(-sites f(t - tau_i - tau_j))
     is complex symmetric (A. Lee, Linear Algebra Appl. 29, 205 (1980)).
     Both are evaluated on their lower triangles, p(p + 1) lags in all, each
-    >= 0 as the nodes ascend, by one spline call and one exponential, and
-    completed by mirroring, P with a real diagonal (f(0) = 0). The returned
-    `gram(tau, omega)` is R, exactly symmetric. m must be even.
+    >= 0 as the nodes ascend, by one spline call and one exponential; P's
+    diagonal is taken as real (f(0) = 0). The cached index plan of p
+    (`_gram_plan`) then writes every entry of R as one sum of two of these
+    values or their negatives: two int32 gathers and one add, about a dozen
+    numpy passes per build. The returned `gram(tau, omega)` is R, exactly
+    symmetric. m must be even.
     """
+    def values(tau: np.ndarray, omega: np.ndarray, pairs: np.ndarray):
+        # the float layout of `_gram_plan`; a function of its own, so its
+        # temporaries are freed before the m x m gathers
+        n = pairs.shape[1]
+        node = np.take(tau, pairs)           # tau_i, tau_j of each pair
+        lags = np.empty(2 * n)
+        np.subtract(node[0], node[1], out=lags[:n])
+        np.add(node[0], node[1], out=lags[n:])
+        np.subtract(t, lags[n:], out=lags[n:])
+        kernel = -sites * spline(lags)
+        np.exp(kernel, out=kernel)
+        root_w = np.take(np.sqrt(omega[:tau.size // 2]), pairs)
+        out = np.empty(2 * (4 * n + 1))
+        np.multiply(kernel.reshape(2, -1), root_w[0] * root_w[1],
+                    out=out[:4 * n].view(complex).reshape(2, -1))
+        out[4 * n] = 0.0
+        np.negative(out[:4 * n + 1], out=out[4 * n + 1:])
+        return out
+
     def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
         m = tau.size
         if m % 2:
             raise ValueError(f"real Nystrom kernel needs an even node count, "
                              f"got {m}")
-        p = m // 2
-        low = np.tri(p, dtype=bool)
-        head = tau[:p]
-        root_w = np.sqrt(omega[:p])
-        lags = np.concatenate((np.subtract.outer(head, head)[low],
-                               t - np.add.outer(head, head)[low]))
-        blocks = np.zeros((2, p, p), dtype=complex)
-        blocks[:, low] = np.exp(-sites * spline(lags)).reshape(2, -1) \
-            * np.multiply.outer(root_w, root_w)[low]
-        herm, sym = blocks[0], blocks[1].conj()
-        herm += np.tril(herm, -1).conj().T
-        np.fill_diagonal(herm.imag, 0.0)
-        sym += np.tril(sym, -1).T
-        plus, minus = herm + sym, herm - sym
+        plan = _gram_plan(m // 2)
+        src = values(tau, omega, plan.pairs)
         out = np.empty((m, m))
-        out[:p, :p] = plus.real
-        out[:p, p:] = -minus.imag
-        out[p:, :p] = plus.imag
-        out[p:, p:] = minus.real
+        step = max(1, _STRIP // m)    # rows per strip: one at m <= 256
+        for row in range(0, m, step):
+            rows = slice(row, row + step)
+            np.take(src, plan.first[rows], out=out[rows])
+            out[rows] += np.take(src, plan.second[rows])
         return out
 
     return gram

@@ -310,11 +310,22 @@ class TestFormatsAndErrors:
          "[grid] alpha"),
         ("ising", ISING_SMALL.replace("L = 36", "L = 0 36"), "[grid] L"),
         ("ising", ISING_SMALL.replace("L = 36", "L = nan"), "[grid] L"),
+        ("ising", ISING_SMALL.replace("k_grid", "J = nan\nk_grid"),
+         "[quench] J"),
+        ("ising", ISING_SMALL.replace("h_f = 1.5", "h_f = nan"),
+         "[quench] h_f"),
+        ("ising", ISING_SMALL.replace("h_i = inf", "h_i = nan"),
+         "[quench] h_i"),
+        ("ising", ISING_SMALL + "[quadrature]\nscheme = simpson\n",
+         "[quadrature] scheme"),
+        ("ising", ISING_SMALL.replace("h_i = inf", "h_i = 1.5")
+         + "[quadrature]\nscheme = simpson\n", "[quadrature] scheme"),
     ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "ed-no-t",
             "distribution-points",
             "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t",
             "ising-t", "ising-rtol", "ising-rtol-nan", "ising-alpha",
-            "ising-L", "ising-L-nan"])
+            "ising-L", "ising-L-nan", "ising-J-nan", "ising-h_f-nan",
+            "ising-h_i-nan", "ising-scheme", "ising-scheme-no-quench"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"

@@ -414,6 +414,59 @@ class TestRealNystromKernel:
         with pytest.raises(ValueError, match="even"):
             overlap._nystrom_gram(spline, 100.0, 0.5)(0.5 * x, w)
 
+    @staticmethod
+    def direct_gram(spline, sites, t, tau, omega):
+        """R built directly: P and M on their lower triangles, completed
+        as complex blocks and split into real and imaginary parts."""
+        m = tau.size
+        p = m // 2
+        low = np.tri(p, dtype=bool)
+        head = tau[:p]
+        root_w = np.sqrt(omega[:p])
+        lags = np.concatenate((np.subtract.outer(head, head)[low],
+                               t - np.add.outer(head, head)[low]))
+        blocks = np.zeros((2, p, p), dtype=complex)
+        blocks[:, low] = np.exp(-sites * spline(lags)).reshape(2, -1) \
+            * np.multiply.outer(root_w, root_w)[low]
+        herm, sym = blocks[0], blocks[1].conj()
+        herm += np.tril(herm, -1).conj().T
+        np.fill_diagonal(herm.imag, 0.0)
+        sym += np.tril(sym, -1).T
+        plus, minus = herm + sym, herm - sym
+        out = np.empty((m, m))
+        out[:p, :p] = plus.real
+        out[:p, p:] = -minus.imag
+        out[p:, :p] = plus.imag
+        out[p:, p:] = minus.real
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(FREE_ENERGIES))
+    @pytest.mark.parametrize("L,t", [(100, 0.25), (400, 0.58), (10_000, 2.0)])
+    def test_plan_matches_direct_construction(self, kind, L, t):
+        spline = self.FREE_ENERGIES[kind]().table(t)
+        gram = overlap._nystrom_gram(spline, float(L), t)
+        for m in (2, 32, 64, 256):
+            x, w = _gauss_legendre(m)
+            ref = self.direct_gram(spline, float(L), t, t * x, w)
+            assert np.array_equal(gram(t * x, w), ref)
+
+    def test_plan_is_read_only_int32(self):
+        plan = overlap._gram_plan(16)
+        assert plan.pairs.shape == (2, 16 * 17 // 2)
+        for a in plan:
+            assert a.dtype == np.int32
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        assert plan.first.shape == plan.second.shape == (32, 32)
+
+    def test_plan_cache_is_bounded(self):
+        info = overlap._gram_plan.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        for p in range(1, info.maxsize + 4):
+            overlap._gram_plan(p)
+        assert overlap._gram_plan.cache_info().currsize <= info.maxsize
+
 
 class TestBudgetedTable:
     """With `rtol`, `moments_quadrature` sizes its f-table by the error
