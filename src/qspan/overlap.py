@@ -18,13 +18,16 @@ nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
 [0, t] and converges exponentially in the node count. The nodes are
 symmetric under tau -> t - tau, which makes the Hermitian kernel
 centro-Hermitian, so it is similar to a real symmetric matrix R of the same
-size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. For the
-integer alpha asked for, sum lambda^alpha is the power trace tr R^alpha, so
-no eigenvalue is computed. The window core `_window_spectrum` (node rule,
-doubling, and a settle test on the purity, the squared Frobenius norm of
-the kernel) factorizes nothing and is shared with `ed.averaged_state`,
-which feeds it the snapshot Gram matrix and factorizes the settled kernel
-once.
+size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. Each
+entry of R is one sum of two of the weighted kernel values (or their
+negatives), gathered through an int32 index plan that depends on p alone
+and is cached for the last four p (`_gram_plan`; 36 MiB at the 2048-node
+cap). For the integer alpha asked for, sum lambda^alpha is the power trace
+tr R^alpha, so no eigenvalue is computed. The window core
+`_window_spectrum` (node rule, doubling, and a settle test on the purity,
+the squared Frobenius norm of the kernel) factorizes nothing and is shared
+with `ed.averaged_state`, which feeds it the snapshot Gram matrix and
+factorizes the settled kernel once.
 
 f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
 which also supplies the rough e2 that picks the starting node count, so a
@@ -439,7 +442,7 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # ---------------------------------------------------------------------------
 
 _M_START = 32       # fewest nodes of a window
-_M_CAP = 2048       # its kernel and one power trace take ~0.08 s each
+_M_CAP = 2048       # its kernel takes ~0.055 s, one power trace ~0.07 s
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
 
@@ -597,8 +600,10 @@ def _nystrom_gram(spline, sites: float, t: float):
     diagonal is taken as real (f(0) = 0). The cached index plan of p
     (`_gram_plan`) then writes every entry of R as one sum of two of these
     values or their negatives: two int32 gathers and one add, about a dozen
-    numpy passes per build. The returned `gram(tau, omega)` is R, exactly
-    symmetric. m must be even.
+    numpy passes per build, in row strips of `_STRIP` entries. The plan
+    holds 36 MiB at the 2048-node cap, and a build there adds 32 MiB of
+    values and 0.5 MiB of strip temporaries to R's own 32 MiB. The
+    returned `gram(tau, omega)` is R, exactly symmetric. m must be even.
     """
     def values(tau: np.ndarray, omega: np.ndarray, pairs: np.ndarray):
         # the float layout of `_gram_plan`; a function of its own, so its
@@ -627,7 +632,7 @@ def _nystrom_gram(spline, sites: float, t: float):
         plan = _gram_plan(m // 2)
         src = values(tau, omega, plan.pairs)
         out = np.empty((m, m))
-        step = max(1, _STRIP // m)    # rows per strip: one at m <= 256
+        step = max(1, _STRIP // m)    # rows per strip; one strip for m <= 256
         for row in range(0, m, step):
             rows = slice(row, row + step)
             np.take(src, plan.first[rows], out=out[rows])
