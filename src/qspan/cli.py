@@ -282,13 +282,7 @@ def cmd_rank(cfg, out: Path, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_quench(cfg) -> ovl.IsingQuench:
-    raw_hi = _get(cfg, "quench", "h_i", required=True)
-    h_i = math.inf if raw_hi.lower() in ("inf", "infinity") else None
-    if h_i is None:
-        try:
-            h_i = float(raw_hi)
-        except ValueError:
-            raise ConfigError(f"[quench] h_i: bad value {raw_hi!r}") from None
+    h_i = _get_float(cfg, "quench", "h_i", required=True)
     h_f = _get_float(cfg, "quench", "h_f", required=True)
     J = _get_float(cfg, "quench", "J", default=1.0)
     k_grid = _get_int(cfg, "quench", "k_grid", default=4096)
@@ -325,8 +319,8 @@ def cmd_ising(cfg, out: Path, fmt: str) -> None:
         fv = complex(f(tv))
         f_rows.append((float(tv), fv.real, fv.imag))
     e2 = 0.0 if no_quench else ovl.second_cumulant_from_f(f)
-    meta = {"h_i": quench.h_i if not math.isinf(quench.h_i) else math.inf,
-            "h_f": quench.h_f, "J": quench.J, "t": t, "e2": e2}
+    meta = {"h_i": quench.h_i, "h_f": quench.h_f, "J": quench.J, "t": t,
+            "e2": e2}
     if f_rows:
         _write_table(_sibling(out, "f"), fmt, "ising-f",
                      ("t", "re_f", "im_f"), f_rows, meta=meta)

@@ -18,16 +18,15 @@ nodes (Nystrom), and every moment is sum lambda^alpha. This needs f only on
 [0, t] and converges exponentially in the node count. The nodes are
 symmetric under tau -> t - tau, which makes the Hermitian kernel
 centro-Hermitian, so it is similar to a real symmetric matrix R of the same
-size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes. Each
-entry of R is one sum of two of the weighted kernel values (or their
-negatives), gathered through an int32 index plan that depends on p alone
-and is cached for the last four p (`_gram_plan`; 36 MiB at the 2048-node
-cap). For the integer alpha asked for, sum lambda^alpha is the power trace
-tr R^alpha, so no eigenvalue is computed. The window core
-`_window_spectrum` (node rule, doubling, and a settle test on the purity,
-the squared Frobenius norm of the kernel) factorizes nothing and is shared
-with `ed.averaged_state`, which feeds it the snapshot Gram matrix and
-factorizes the settled kernel once.
+size (`_nystrom_gram`), built from p(p + 1) lags for m = 2p nodes: one
+gather through an index of p alone (`_pair_index`, cached for the last four
+p) puts the weighted kernel values on four p x p blocks, which sums,
+differences and signs make into R. For the integer alpha asked for,
+sum lambda^alpha is the power trace tr R^alpha, so no eigenvalue is
+computed. The window core `_window_spectrum` (node rule, doubling, and a
+settle test on the purity, the squared Frobenius norm of the kernel)
+factorizes nothing and is shared with `ed.averaged_state`, which feeds it
+the snapshot Gram matrix and factorizes the settled kernel once.
 
 f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
 which also supplies the rough e2 that picks the starting node count, so a
@@ -106,7 +105,7 @@ class RenyiEstimate(NamedTuple):
 class IsingQuench:
     """Global field quench h_i -> h_f of the transverse-field Ising chain.
 
-    `h_i = math.inf` is first class and uses the analytic limit of the
+    `h_i = +-math.inf` is first class and uses the analytic limit of the
     Bogoliubov angle. `k_grid` sets the composite-Simpson resolution on
     [0, pi] (rounded up to an even interval count). J must be positive and
     finite, h_f finite and h_i not NaN; otherwise DomainError.
@@ -134,7 +133,8 @@ def ising_dispersion(q: IsingQuench, k):
     eps_k = 2J sqrt(1 + h_f^2 - 2 h_f cos k);
     cos Delta_k = [(h_f - cos k)(h_i - cos k) + sin^2 k] /
                   (sqrt(1 + h_f^2 - 2 h_f cos k) sqrt(1 + h_i^2 - 2 h_i cos k)),
-    with the h_i -> inf limit (h_f - cos k)/sqrt(1 + h_f^2 - 2 h_f cos k).
+    with the h_i -> +-inf limit
+    +-(h_f - cos k)/sqrt(1 + h_f^2 - 2 h_f cos k).
     Accepts scalar or array k in [0, pi].
     """
     k_arr = np.asarray(k, dtype=float)
@@ -147,7 +147,7 @@ def ising_dispersion(q: IsingQuench, k):
                       GapClosingWarning, stacklevel=2)
     root_f = np.sqrt(np.maximum(disc_f, 1e-300))
     if math.isinf(q.h_i):
-        cos_delta = (q.h_f - cos_k) / root_f
+        cos_delta = math.copysign(1.0, q.h_i) * (q.h_f - cos_k) / root_f
     else:
         disc_i = 1.0 + q.h_i ** 2 - 2.0 * q.h_i * cos_k
         num = (q.h_f - cos_k) * (q.h_i - cos_k) + sin_k ** 2
@@ -442,7 +442,7 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 # ---------------------------------------------------------------------------
 
 _M_START = 32       # fewest nodes of a window
-_M_CAP = 2048       # its kernel takes ~0.055 s, one power trace ~0.07 s
+_M_CAP = 2048       # kernel ~0.11 s, one power trace ~0.4 s (2-vCPU Xeon VM)
 _SETTLE = 1e-11     # relative purity change from m/2 to m that ends doubling
 _ROUNDOFF = 1e-12   # relative round-off floor of a moment
 
@@ -521,64 +521,21 @@ def _power_trace(kernel: np.ndarray, purity: float, alpha: int) -> float:
     return float(np.vdot(kernel if alpha == 3 else square, square))
 
 
-_STRIP = 1 << 16    # kernel entries per gather strip: 512 KB of temporaries
-
-
-class _GramPlan(NamedTuple):
-    """Index plan of the real Nystrom kernel on m = 2p nodes (`_gram_plan`).
-    All arrays are read-only int32."""
-    pairs: np.ndarray    # tril_indices(p) as rows: the node pairs i >= j
-    first: np.ndarray    # m x m: R = values[first] + values[second]
-    second: np.ndarray
-
-
 @functools.lru_cache(maxsize=4)   # a window needs two: p and p/2
-def _gram_plan(p: int) -> _GramPlan:
-    """Where each entry of the real Nystrom kernel R comes from, for p.
-
-    With n = p(p + 1)/2 pairs i >= j, k(i, j) = i(i + 1)/2 + j in
-    `tril_indices(p)` order, `_nystrom_gram` lays the weighted values
-    v0 (lags tau_i - tau_j) and v1 (lags t - tau_i - tau_j) out as floats,
-    values = [Re v0_0, Im v0_0, ..., Re v1_0, Im v1_0, ..., +0], 4n + 1
-    entries, followed by their negatives. Every entry of R is one sum of
-    two of these, with k = k(max(i, j), min(i, j)):
-
-        R[i, j]         = Re v0_k + Re v1_k
-        R[p + i, p + j] = Re v0_k - Re v1_k
-        R[p + i, j]     = Im v0_k - Im v1_k (i > j), -Im v0_k - Im v1_k
-                          (i < j), +0 - Im v1_k (i = j)
-        R[i, p + j]     = R[p + j, i], with -0 for +0 on the diagonal,
-
-    the same two numbers in the same IEEE sum as the complex completion of
-    the blocks P and M, so R is unchanged wherever it is nonzero. The two
-    m x m index arrays are int32 and are built without m^2-sized int64
-    temporaries: the plan at the 2048-node cap holds 36 MiB.
-    """
-    pairs = np.stack(np.tril_indices(p)).astype(np.int32)
-    n = pairs.shape[1]
-    zero, neg = 4 * n, 4 * n + 1     # +0 and the offset of the negatives
+def _pair_index(p: int):
+    """(pairs, index, sign) of the real Nystrom kernel on m = 2p nodes, all
+    read-only: `tril_indices(p)` as int32 rows (the node pairs i >= j), the
+    int32 p x p map index[i, j] = k(max(i, j), min(i, j)) into that order,
+    and the sign of Im P: +1 below the diagonal, -1 above it, 0 on it.
+    16 MiB at the 2048-node cap."""
     r = np.arange(p, dtype=np.int32)
     tri = r * (r + 1) // 2
-    two_k = 2 * (np.maximum.outer(tri, tri) + np.minimum.outer(r, r))
-    below = np.tri(p, k=-1, dtype=bool)
-    m = 2 * p
-    first = np.empty((m, m), dtype=np.int32)
-    second = np.empty((m, m), dtype=np.int32)
-    first[:p, :p] = two_k                                     # Re v0
-    first[p:, p:] = two_k
-    im_v0, minus_im_v0 = two_k + 1, two_k + (neg + 1)
-    first[p:, :p] = np.where(below, im_v0, minus_im_v0)
-    first[:p, p:] = np.where(below, minus_im_v0, im_v0)
-    first[p + r, r] = zero
-    first[r, p + r] = neg + zero                              # -0
-    second[:p, :p] = two_k + 2 * n                            # Re v1
-    second[p:, p:] = two_k + (neg + 2 * n)                    # -Re v1
-    second[p:, :p] = two_k + (neg + 2 * n + 1)                # -Im v1
-    second[:p, p:] = second[p:, :p]
-    plan = _GramPlan(pairs, first, second)
-    for a in plan:
+    index = np.maximum.outer(tri, tri) + np.minimum.outer(r, r)
+    sign = np.sign(np.subtract.outer(r, r), dtype=float)
+    out = (np.stack(np.tril_indices(p)).astype(np.int32), index, sign)
+    for a in out:
         a.flags.writeable = False
-    return plan
+    return out
 
 
 def _nystrom_gram(spline, sites: float, t: float):
@@ -596,47 +553,46 @@ def _nystrom_gram(spline, sites: float, t: float):
     M_ij = K_{i,m-1-j} = sqrt(w_i w_j) conj exp(-sites f(t - tau_i - tau_j))
     is complex symmetric (A. Lee, Linear Algebra Appl. 29, 205 (1980)).
     Both are evaluated on their lower triangles, p(p + 1) lags in all, each
-    >= 0 as the nodes ascend, by one spline call and one exponential; P's
-    diagonal is taken as real (f(0) = 0). The cached index plan of p
-    (`_gram_plan`) then writes every entry of R as one sum of two of these
-    values or their negatives: two int32 gathers and one add, about a dozen
-    numpy passes per build, in row strips of `_STRIP` entries. The plan
-    holds 36 MiB at the 2048-node cap, and a build there adds 32 MiB of
-    values and 0.5 MiB of strip temporaries to R's own 32 MiB. The
-    returned `gram(tau, omega)` is R, exactly symmetric. m must be even.
+    >= 0 as the nodes ascend, by one spline call and one exponential, as
+    weighted values v0 (of P) and v1 (conj of M). One gather through the
+    cached pair index of p (`_pair_index`) puts both on the p x p grid,
+    and with s the sign of Im P (0 on the diagonal, as f(0) = 0)
+
+        R11 = Re v0 + Re v1,  R22 = Re v0 - Re v1,
+        R21 = s Im v0 - Im v1,  R12 = R21^T.
+
+    At the 2048-node cap a build adds 16 MiB of values and 32 MiB of
+    gathered blocks to R's own 32 MiB. The returned `gram(tau, omega)` is
+    R, exactly symmetric. m must be even.
     """
-    def values(tau: np.ndarray, omega: np.ndarray, pairs: np.ndarray):
-        # the float layout of `_gram_plan`; a function of its own, so its
-        # temporaries are freed before the m x m gathers
+    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        m = tau.size
+        if m % 2:
+            raise ValueError(f"real Nystrom kernel needs an even node count, "
+                             f"got {m}")
+        p = m // 2
+        pairs, index, sign = _pair_index(p)
         n = pairs.shape[1]
         node = np.take(tau, pairs)           # tau_i, tau_j of each pair
         lags = np.empty(2 * n)
         np.subtract(node[0], node[1], out=lags[:n])
         np.add(node[0], node[1], out=lags[n:])
         np.subtract(t, lags[n:], out=lags[n:])
-        kernel = -sites * spline(lags)
+        kernel = spline(lags).reshape(2, n)
+        kernel *= -sites
         np.exp(kernel, out=kernel)
-        root_w = np.take(np.sqrt(omega[:tau.size // 2]), pairs)
-        out = np.empty(2 * (4 * n + 1))
-        np.multiply(kernel.reshape(2, -1), root_w[0] * root_w[1],
-                    out=out[:4 * n].view(complex).reshape(2, -1))
-        out[4 * n] = 0.0
-        np.negative(out[:4 * n + 1], out=out[4 * n + 1:])
-        return out
-
-    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        m = tau.size
-        if m % 2:
-            raise ValueError(f"real Nystrom kernel needs an even node count, "
-                             f"got {m}")
-        plan = _gram_plan(m // 2)
-        src = values(tau, omega, plan.pairs)
+        root_w = np.take(np.sqrt(omega[:p]), pairs)
+        kernel *= root_w[0] * root_w[1]      # v0 and v1
+        del node, lags, root_w               # peak memory: free before gather
+        v0, v1 = np.take(kernel, index, axis=1)
+        del kernel
         out = np.empty((m, m))
-        step = max(1, _STRIP // m)    # rows per strip; one strip for m <= 256
-        for row in range(0, m, step):
-            rows = slice(row, row + step)
-            np.take(src, plan.first[rows], out=out[rows])
-            out[rows] += np.take(src, plan.second[rows])
+        np.add(v0.real, v1.real, out=out[:p, :p])
+        np.subtract(v0.real, v1.real, out=out[p:, p:])
+        lower = out[p:, :p]
+        np.multiply(sign, v0.imag, out=lower)
+        lower -= v1.imag
+        out[:p, p:] = lower.T
         return out
 
     return gram

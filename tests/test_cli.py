@@ -139,6 +139,18 @@ class TestIsingVerb:
             assert float(r["moment"]) == 1.0
             assert r["S_quadrature"] == "nan"
 
+    def test_minus_infinite_initial_field(self, tmp_path):
+        f_rows = {}
+        for h_i in ("-inf", "-1e8"):
+            out = tmp_path / f"h{h_i}.csv"
+            run_ok(["ising", "--config", str(self._config(tmp_path, h_i=h_i)),
+                    "--out", str(out)])
+            f_csv = tmp_path / f"h{h_i}_f.csv"
+            assert f"# h_i: {float(h_i)!r}" in f_csv.read_text().splitlines()
+            f_rows[h_i] = [float(r["im_f"]) for r in read_rows(f_csv)[1]]
+        assert f_rows["-inf"] == pytest.approx(f_rows["-1e8"], abs=1e-7)
+        assert min(f_rows["-inf"]) < -0.1
+
     def test_accuracy_exit_code(self, tmp_path):
         cfg = self._config(tmp_path,
                            extra="")

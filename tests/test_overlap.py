@@ -68,6 +68,15 @@ class TestDispersion:
         _, cd_big = ising_dispersion(q_big, ks)
         assert np.allclose(cd_inf, cd_big, atol=1e-6)
 
+    def test_minus_infinite_initial_field(self):
+        ks = np.linspace(0, math.pi, 33)
+        _, cd_plus = ising_dispersion(IsingQuench(h_i=math.inf, h_f=1.5), ks)
+        _, cd_minus = ising_dispersion(IsingQuench(h_i=-math.inf, h_f=1.5),
+                                       ks)
+        _, cd_far = ising_dispersion(IsingQuench(h_i=-1e8, h_f=1.5), ks)
+        assert np.array_equal(cd_minus, -cd_plus)
+        assert np.max(np.abs(cd_minus - cd_far)) <= 1e-8
+
     def test_gap_closing_flagged(self):
         q = IsingQuench(h_i=math.inf, h_f=1.0)
         with pytest.warns(GapClosingWarning):
@@ -253,10 +262,14 @@ class TestMomentsQuadrature:
         ref = moment_with_correction(cs, 1.0, 3)
         assert abs(est.value - ref) / ref < 1e-3
 
-    def test_purity_decreasing_in_t(self, strong_quench_f):
-        vals = [moments_quadrature(strong_quench_f, 100, 1, t, 2).value
-                for t in (0.2, 0.4, 0.8, 1.2, 1.6)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+    def test_purity_decreasing_in_t(self):
+        # a fresh f of the same quench, widest window first: its table
+        # serves all five windows
+        f = DynamicalFreeEnergy.from_ising(STRONG)
+        ts = (0.2, 0.4, 0.8, 1.2, 1.6)
+        vals = {t: moments_quadrature(f, 100, 1, t, 2).value
+                for t in sorted(ts, reverse=True)}
+        assert all(vals[a] > vals[b] for a, b in zip(ts, ts[1:]))
 
     def test_grid_vs_mc_alpha3(self):
         rng = np.random.default_rng(7)
@@ -450,22 +463,34 @@ class TestRealNystromKernel:
             ref = self.direct_gram(spline, float(L), t, t * x, w)
             assert np.array_equal(gram(t * x, w), ref)
 
-    def test_plan_is_read_only_int32(self):
-        plan = overlap._gram_plan(16)
-        assert plan.pairs.shape == (2, 16 * 17 // 2)
-        for a in plan:
-            assert a.dtype == np.int32
+    def test_matches_direct_construction_at_the_cap(self):
+        spline = self.FREE_ENERGIES["crossing"]().table(0.58)
+        gram = overlap._nystrom_gram(spline, 400.0, 0.58)
+        x, w = _gauss_legendre(overlap._M_CAP)
+        ref = self.direct_gram(spline, 400.0, 0.58, 0.58 * x, w)
+        assert np.array_equal(gram(0.58 * x, w), ref)
+
+    def test_pair_index_is_read_only_int32(self):
+        pairs, index, sign = overlap._pair_index(16)
+        assert pairs.shape == (2, 16 * 17 // 2)
+        assert index.shape == sign.shape == (16, 16)
+        assert pairs.dtype == index.dtype == np.int32
+        for a in (pairs, index, sign):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0
-        assert plan.first.shape == plan.second.shape == (32, 32)
+        i, j = pairs
+        assert np.array_equal(index[i, j], np.arange(i.size))
+        assert np.array_equal(index, index.T)
+        assert np.array_equal(sign, np.sign(np.subtract.outer(
+            np.arange(16), np.arange(16))))
 
-    def test_plan_cache_is_bounded(self):
-        info = overlap._gram_plan.cache_info()
+    def test_pair_index_cache_is_bounded(self):
+        info = overlap._pair_index.cache_info()
         assert info.maxsize is not None and info.maxsize <= 8
         for p in range(1, info.maxsize + 4):
-            overlap._gram_plan(p)
-        assert overlap._gram_plan.cache_info().currsize <= info.maxsize
+            overlap._pair_index(p)
+        assert overlap._pair_index.cache_info().currsize <= info.maxsize
 
 
 class TestBudgetedTable:
