@@ -333,7 +333,9 @@ def krylov_decomposition(spec, psi0: np.ndarray,
     Ritz values, Q[0, :] and the Ritz vectors V_K Q stand in for energies,
     overlaps and eigenvectors, and every consumer of a SpectralDecomposition
     takes them unchanged. The basis V_K is orthogonalized fully, twice, at
-    each step and stored row-wise so that V[:k] is contiguous.
+    each step, the coefficients taken as conj(V conj(w)) so that no copy of
+    V is made, and stored row-wise so that V[:k] is contiguous. It is real
+    when H and Psi_0 are.
 
     The error of that state is at most beta_K int_0^t_max
     |e_K^T e^{-iT_K s} e_1| ds for every |s| <= t_max (variation of
@@ -352,21 +354,24 @@ def krylov_decomposition(spec, psi0: np.ndarray,
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max = {t_max} must be positive and finite")
     h = _as_operator(spec)
+    psi0 = _unit_state(psi0)
     if not np.any(h.data.imag):
         h = h.real
+        if not np.any(psi0.imag):
+            psi0 = psi0.real
     n = h.shape[0]
     floor = np.finfo(float).eps * (1.0 + abs(h).sum(axis=1).max() * t_max)
     goal = max(_KRYLOV_TOL - floor, floor)
-    v = np.empty((min(n, _LANCZOS_BLOCK), n), dtype=complex)
-    v[0] = _unit_state(psi0)
+    v = np.empty((min(n, _LANCZOS_BLOCK), n), dtype=psi0.dtype)
+    v[0] = psi0
     alpha, beta = [], []
     check = 0
     while True:
         k = len(alpha)
         w = h @ v[k]
-        coeff = v[:k + 1].conj() @ w
+        coeff = np.conj(v[:k + 1] @ np.conj(w))
         w -= coeff @ v[:k + 1]
-        w -= (v[:k + 1].conj() @ w) @ v[:k + 1]
+        w -= np.conj(v[:k + 1] @ np.conj(w)) @ v[:k + 1]
         alpha.append(coeff[k].real)
         b = float(np.linalg.norm(w))
         # the integrand is at most 1, so b t_max alone can settle the rule
@@ -382,7 +387,7 @@ def krylov_decomposition(spec, psi0: np.ndarray,
         beta.append(b)
         if k + 1 == v.shape[0]:
             v = np.concatenate([v, np.empty((min(v.shape[0], n - k - 1), n),
-                                            dtype=complex)])
+                                            dtype=v.dtype)])
         v[k + 1] = w / b
     return SpectralDecomposition(
         energies=theta, overlaps=q[0].astype(complex),

@@ -151,6 +151,24 @@ class TestIsingVerb:
         assert f_rows["-inf"] == pytest.approx(f_rows["-1e8"], abs=1e-7)
         assert min(f_rows["-inf"]) < -0.1
 
+    def test_huge_initial_field_matches_infinite(self, tmp_path):
+        s = {}
+        for h_i in ("inf", "1e200"):
+            out = tmp_path / f"h{h_i}.csv"
+            run_ok(["ising", "--config", str(self._config(tmp_path, h_i=h_i)),
+                    "--out", str(out)])
+            s[h_i] = [float(r["S_quadrature"]) for r in read_rows(out)[1]]
+        assert s["1e200"] == pytest.approx(s["inf"], rel=0, abs=1e-15)
+
+    def test_huge_final_field_is_an_accuracy_failure(self, tmp_path):
+        # eps_k ~ 2e200: f is finite, but its curvature at the origin (e2)
+        # cannot be resolved, which is an exit 3, not a traceback
+        cfg = self._config(tmp_path, h_i="0.5")
+        cfg.write_text(cfg.read_text().replace("h_f = 1.5", "h_f = 1e200"))
+        rc = main(["ising", "--config", str(cfg), "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 3
+
     def test_accuracy_exit_code(self, tmp_path):
         cfg = self._config(tmp_path,
                            extra="")
