@@ -48,7 +48,11 @@ sparse assembly of signed permutations.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -127,6 +131,8 @@ class PauliHamiltonian:
         canon = []
         for coeff, ops in self.terms:
             coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise DomainError(f"coefficient {coeff} is not finite")
             ops = tuple(sorted((int(s), str(o).upper()) for s, o in ops))
             if not ops:
                 raise DomainError("each term needs at least one operator")
@@ -200,6 +206,84 @@ def _as_operator(h) -> sp.csr_matrix:
 # Eigenproblems
 # ---------------------------------------------------------------------------
 
+# (get, set) names of the OpenBLAS thread count: numpy's copy exports the
+# first pair, scipy's the second, a system OpenBLAS one of the last two
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """(get, set) thread-count calls of every OpenBLAS loaded in the process,
+    found once from the library paths in /proc/self/maps; () when there is
+    none (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                calls.append((get, put))
+                break
+    return tuple(calls)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    The Lanczos loops of `ground_state` (ARPACK) and `krylov_decomposition`
+    do BLAS-2 work on vectors of at most 2^14 entries, where waking a second
+    OpenBLAS thread costs more than the work it takes over. The thread count
+    is process-wide, so the first caller to enter (of any thread, or nested)
+    saves each library's count and sets it to 1, and the last to leave puts
+    the saved counts back, on return or raise alike. Without OpenBLAS it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                self._saved = [(put, get())
+                               for get, put in _openblas_thread_calls()]
+                for put, _ in self._saved:
+                    put(1)
+            self._users += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for put, count in self._saved:
+                    put(count)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def ground_state(spec, gap_tol: float = 1e-10) -> np.ndarray:
     """Normalized lowest eigenvector with a deterministic gauge.
 
@@ -218,6 +302,10 @@ def ground_state(spec, gap_tol: float = 1e-10) -> np.ndarray:
     returned. A single start vector spans one direction of a degenerate
     level, so the warning relies on ARPACK's restarts to find the partner;
     they do on the chains tested, but it is not guaranteed.
+
+    ARPACK's matrix-vector work is too small to share between threads, so
+    the solve runs with OpenBLAS on one thread; the previous count is put
+    back on return.
     """
     h = _as_operator(spec)
     n = h.shape[0]
@@ -238,7 +326,8 @@ def ground_state(spec, gap_tol: float = 1e-10) -> np.ndarray:
     if vals[1] - vals[0] < gap_tol:
         warnings.warn(f"ground state nearly degenerate (gap = "
                       f"{vals[1] - vals[0]:.3e})",
-                      DegenerateGroundStateWarning, stacklevel=2)
+                      DegenerateGroundStateWarning,
+                      stacklevel=3)   # the caller, past the thread scope
     return _fix_gauge(vecs[:, 0])
 
 
@@ -260,18 +349,32 @@ class SpectralDecomposition:
     Psi_0 (K <= N): Psi_s = sum_n c_n e^{-iE_n s} |E_n> then holds for
     |s| <= `horizon` only, to within `error` in the 2-norm. `dim` counts
     the levels held, not the dimension of the Hilbert space.
+
+    `basis` holds the |E_n> as columns in the site basis. The dense route
+    stores it as `frame`; the Krylov route stores the Lanczos vectors V_K as
+    `frame` and the eigenvectors Q of T_K as `rotation`, and the Ritz basis
+    V_K Q is formed on first access only, since the protocols work in the
+    energy basis and never read it.
     """
 
     energies: np.ndarray          # ascending, real
     overlaps: np.ndarray          # complex, sum |c_n|^2 = 1
-    basis: np.ndarray             # columns are |E_n> in the site basis
+    frame: np.ndarray = field(repr=False)   # site-basis columns
     L: int
     horizon: float = math.inf     # largest |s| at which Psi_s is reproduced
     error: float = 0.0            # bound on ||Psi_s - sum_n ...|| there
+    rotation: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.energies.size
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Columns |E_n> in the site basis: frame @ rotation, or frame."""
+        if self.rotation is None:
+            return self.frame
+        return self.frame @ self.rotation
 
 
 def _check_horizon(sd: SpectralDecomposition, t, what: str) -> None:
@@ -302,7 +405,7 @@ def spectral_decomposition(spec, psi0: np.ndarray,
     overlaps = basis.conj().T @ psi0
     L = int(round(math.log2(h.shape[0])))
     sd = SpectralDecomposition(energies=energies, overlaps=overlaps,
-                               basis=basis, L=L)
+                               frame=basis, L=L)
     if check:
         total = float(np.sum(np.abs(overlaps) ** 2))
         if abs(total - 1.0) > 1e-10:
@@ -320,6 +423,7 @@ _KRYLOV_TOL = 1e-13   # bound plus round-off floor that ends a Lanczos run
 _LANCZOS_BLOCK = 64   # basis rows allocated at a time
 
 
+@_one_blas_thread
 def krylov_decomposition(spec, psi0: np.ndarray,
                          t_max: float) -> SpectralDecomposition:
     """Ritz pairs of a Lanczos run from Psi_0 that reproduce Psi_s on
@@ -332,10 +436,11 @@ def krylov_decomposition(spec, psi0: np.ndarray,
     Psi_s ~ V_K e^{-iT_K s} e_1 = sum_j Q_0j e^{-i theta_j s} V_K Q_j, so the
     Ritz values, Q[0, :] and the Ritz vectors V_K Q stand in for energies,
     overlaps and eigenvectors, and every consumer of a SpectralDecomposition
-    takes them unchanged. The basis V_K is orthogonalized fully, twice, at
-    each step, the coefficients taken as conj(V conj(w)) so that no copy of
-    V is made, and stored row-wise so that V[:k] is contiguous. It is real
-    when H and Psi_0 are.
+    takes them unchanged; the Ritz vectors are formed only when `basis` is
+    read. The basis V_K is orthogonalized fully, twice, at each step, the
+    coefficients taken as conj(V conj(w)) so that no copy of V is made, and
+    stored row-wise so that V[:k] is contiguous. It is real when H and
+    Psi_0 are.
 
     The error of that state is at most beta_K int_0^t_max
     |e_K^T e^{-iT_K s} e_1| ds for every |s| <= t_max (variation of
@@ -350,6 +455,10 @@ def krylov_decomposition(spec, psi0: np.ndarray,
     spectrum of its reach, plus any Ritz levels of round-off weight. It
     typically needs K ~ (E_max - E_min) t_max / 2 levels. The result
     carries `horizon` = t_max and `error` = the bound.
+
+    Each step is BLAS-2 work (one sparse product and two K x N
+    matrix-vector products), too small to share between threads, so the run
+    holds OpenBLAS to one thread and puts the previous count back on return.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max = {t_max} must be positive and finite")
@@ -390,9 +499,9 @@ def krylov_decomposition(spec, psi0: np.ndarray,
                                             dtype=v.dtype)])
         v[k + 1] = w / b
     return SpectralDecomposition(
-        energies=theta, overlaps=q[0].astype(complex),
-        basis=v[:k + 1].T @ q, L=int(round(math.log2(n))),
-        horizon=float(t_max), error=bound)
+        energies=theta, overlaps=q[0].astype(complex), frame=v[:k + 1].T,
+        rotation=q, L=int(round(math.log2(n))), horizon=float(t_max),
+        error=bound)
 
 
 def _lanczos_bound(theta: np.ndarray, q: np.ndarray, b: float, t_max: float,

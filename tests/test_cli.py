@@ -350,12 +350,22 @@ class TestFormatsAndErrors:
          "[quadrature] scheme"),
         ("ising", ISING_SMALL.replace("h_i = inf", "h_i = 1.5")
          + "[quadrature]\nscheme = simpson\n", "[quadrature] scheme"),
+        ("ed", ED_SMALL.replace("L = 4", "L = 4\nJ = nan") + "t = 1.0\n",
+         "[system]"),
+        ("ed", ED_SMALL.replace("L = 4", "L = 4\nJ = inf") + "t = 1.0\n",
+         "[system]"),
+        ("ed", "[system]\nmodel = chaotic\nL = 4\nJ = nan\n[grid]\n"
+         "t = 1.0\n", "[system]"),
+        ("ed", "[system]\nmodel = chaotic\nL = 4\nJ = inf\n[grid]\n"
+         "t = 1.0\n", "[system]"),
     ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "ed-no-t",
             "distribution-points",
             "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t",
             "ising-t", "ising-rtol", "ising-rtol-nan", "ising-alpha",
             "ising-L", "ising-L-nan", "ising-J-nan", "ising-h_f-nan",
-            "ising-h_i-nan", "ising-scheme", "ising-scheme-no-quench"])
+            "ising-h_i-nan", "ising-scheme", "ising-scheme-no-quench",
+            "ed-integrable-J-nan", "ed-integrable-J-inf", "ed-chaotic-J-nan",
+            "ed-chaotic-J-inf"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -136,6 +138,12 @@ class TestBuild:
             PauliHamiltonian(L=2, terms=((1.0, ((0, "Q"),)),))
         with pytest.raises(DomainError):
             PauliHamiltonian(L=2, terms=((1.0, ((0, "XY"),)),))
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, coeff):
+        with pytest.raises(DomainError, match="not finite"):
+            PauliHamiltonian(L=2, terms=((1.0, ((0, "X"), (1, "X"))),
+                                         (coeff, ((1, "Z"),))))
 
     @pytest.mark.parametrize("L", range(1, 7))
     def test_random_strings_against_kron_oracle(self, L):
@@ -622,6 +630,123 @@ class TestKrylovDecomposition:
         with pytest.raises(DomainError):
             krylov_decomposition(spec, 2.0 * psi0, 1.0)
 
+    def test_ritz_basis_formed_only_when_read(self):
+        spec, psi0 = collapse_system("chaotic", "ground_state", 8, "open")
+        sd = krylov_decomposition(spec, psi0, HORIZON)
+        spec_t = averaged_state(sd, 0.0, 2.0, want_vectors=True)
+        projection_error(sd, 2.0, 0.1, [0.5, 1.0], spec=spec_t)
+        energy_cumulants(sd, 4)
+        assert "basis" not in vars(sd)
+        basis = sd.basis
+        assert sd.basis is basis
+        assert basis.shape == (2 ** 8, sd.dim)
+        assert np.abs(basis.conj().T @ basis - np.eye(sd.dim)).max() < 1e-12
+
+
+@pytest.fixture
+def blas_calls():
+    """Every loaded OpenBLAS, set to 2 threads for the test (so that a count
+    put back differs from 1) and reset to its own count afterwards."""
+    calls = ed_module._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in calls]
+    for _, put in calls:
+        put(2)
+    yield calls
+    for (_, put), count in zip(calls, before):
+        put(count)
+
+
+def thread_counts(calls) -> list[int]:
+    return [get() for get, _ in calls]
+
+
+class TestBlasThreadScope:
+    """The Lanczos loops run with OpenBLAS on one thread and put the
+    process's previous thread counts back."""
+
+    def test_one_thread_inside_and_restored_after(self, blas_calls):
+        with ed_module._one_blas_thread:
+            assert thread_counts(blas_calls) == [1] * len(blas_calls)
+            with ed_module._one_blas_thread:       # nested
+                assert thread_counts(blas_calls) == [1] * len(blas_calls)
+            assert thread_counts(blas_calls) == [1] * len(blas_calls)
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+
+    def test_restored_after_raise(self, blas_calls):
+        with pytest.raises(RuntimeError):
+            with ed_module._one_blas_thread:
+                assert thread_counts(blas_calls) == [1] * len(blas_calls)
+                raise RuntimeError
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+        spec, psi0 = collapse_system("integrable", "x", 4, "open")
+        with pytest.raises(DomainError):
+            krylov_decomposition(spec, psi0, -1.0)
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+
+    def test_no_library_found_does_nothing(self, blas_calls, monkeypatch):
+        monkeypatch.setattr(ed_module, "_openblas_thread_calls", lambda: ())
+        with ed_module._one_blas_thread:
+            assert thread_counts(blas_calls) == [2] * len(blas_calls)
+        vec = ground_state(chaotic_initial_chain(4))
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+
+    def test_concurrent_callers_keep_one_thread(self, blas_calls):
+        inside = []
+
+        def work():
+            for _ in range(200):
+                with ed_module._one_blas_thread:
+                    inside.append(thread_counts(blas_calls))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for th in workers:
+                th.start()
+            for th in workers:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in workers)
+        assert len(inside) == 800
+        assert all(c == [1] * len(blas_calls) for c in inside)
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+
+    def test_cli_ed_run_uses_one_thread_and_restores(self, blas_calls,
+                                                     monkeypatch, tmp_path):
+        from qspan import cli
+        seen = {"eigsh": [], "bound": []}
+
+        def recorder(key, fn):
+            def call(*args, **kwargs):
+                seen[key].append(thread_counts(blas_calls))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            recorder("eigsh", scipy.sparse.linalg.eigsh))
+        monkeypatch.setattr(ed_module, "_lanczos_bound",
+                            recorder("bound", ed_module._lanczos_bound))
+        cfg = tmp_path / "ed.cfg"
+        cfg.write_text("[system]\nmodel = chaotic\nL = 6\n[grid]\n"
+                       "t = 0.5 1.0\n[projection]\nT = 1.0\npoints = 5\n")
+        assert cli.main(["ed", "--config", str(cfg),
+                         "--out", str(tmp_path / "ed.csv")]) == 0
+        assert seen["eigsh"] and seen["bound"]
+        for counts in seen["eigsh"] + seen["bound"]:
+            assert counts == [1] * len(blas_calls)
+        assert thread_counts(blas_calls) == [2] * len(blas_calls)
+
+    def test_degeneracy_warning_names_the_caller(self):
+        flat = PauliHamiltonian(L=3, terms=((0.0, ((0, "Z"),)),))
+        with pytest.warns(DegenerateGroundStateWarning) as record:
+            ground_state(flat)
+        assert record[0].filename == __file__
+
 
 class TestEffectiveRank:
     @pytest.mark.parametrize("eps,d_want,discard_want", [
@@ -865,6 +990,8 @@ class TestHamiltonianFiles:
         ("L=2\n1.0 X0\n", "expected op@site"),
         ("L=2\n1.0 X@zero\n", "bad site"),
         ("L=2\n1.0 X@0 Y@1 Z@1\n", "one or two"),
+        ("L=2\nnan X@0\n", "not finite"),
+        ("L=2\n1.0 X@0\n-inf Z@1\n", "not finite"),
     ])
     def test_parse_errors(self, tmp_path, text, fragment):
         path = tmp_path / "bad.ham"

@@ -36,6 +36,7 @@ def test_tracer_installs_and_restores_every_patch_point(tracing):
         ed.averaged_state(sd, 0.0, 1.0)
         ed.krylov_decomposition(ed.integrable_chain(4),
                                 ed.polarized_state(4, "x"), 1.0)
+        ed.ground_state(ed.chaotic_initial_chain(4))
     finally:
         tr.uninstall()
     assert saved
@@ -46,4 +47,5 @@ def test_tracer_installs_and_restores_every_patch_point(tracing):
     assert calls["ed.averaged_state"] == 1
     # booked to ed, not to the caller's self time
     assert calls["ed.krylov_decomposition"] == 1
+    assert calls["ed.ground_state"] == 1
     assert calls["overlap.table"] >= 1
