@@ -119,8 +119,8 @@ def _require_sorted(values, what):
 
 
 def _require_positive(values, what):
-    if not all(v > 0 for v in values):   # NaN fails too
-        raise ConfigError(f"{what} must be positive")
+    if not all(0 < v < math.inf for v in values):   # NaN fails too
+        raise ConfigError(f"{what} must be positive and finite")
     return values
 
 

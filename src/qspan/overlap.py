@@ -30,14 +30,13 @@ the snapshot Gram matrix and factorizes the settled kernel once.
 
 f is read only from a cached cubic spline (`DynamicalFreeEnergy.table`),
 which also supplies the rough e2 that picks the starting node count, so a
-moment evaluates f directly only while building a table. Without an
-accuracy target the table has 4096 knots per unit time. With `rtol` it
-follows an error budget of rtol * value / 10 instead: f is also evaluated at
-the knot midpoints, the spline's deviation there weighted by the kernel's
-sensitivity L^d |exp(-L^d f)| bounds the moment change, and the density
-doubles from 256 per unit (the checked midpoints becoming knots) until that
-bound fits the budget or 4096 per unit is reached. The bound is part of the
-reported error.
+moment evaluates f directly only while building a table. Every table also
+evaluates f at its knot midpoints (which become the knots of the table at
+twice its density), and the spline's deviation there bounds the kernel's
+change in Frobenius norm, a term that joins every moment's error. Without
+an accuracy target the table has 2048 knots per unit time; with `rtol` it
+starts at 256 per unit and doubles, up to 4096, until the term fits
+rtol * value / 10.
 
 For the transverse-field Ising chain after a field quench h_i -> h_f the
 free energy is available in closed form as a single mode integral, which is
@@ -254,8 +253,9 @@ def _warn_on_branch_crossing(z: np.ndarray) -> None:
 # Dynamical free energy evaluators
 # ---------------------------------------------------------------------------
 
-_PPU_START = 256    # knots per unit time of the first checked f-table
-_PPU_CAP = 4096     # densest checked table; the plain tables' density
+_PPU_START = 256     # knots per unit time of the first table of a chain
+_PPU_DEFAULT = 2048  # a table without an accuracy target: f at 4096 points
+_PPU_CAP = 4096      # densest table an accuracy target may ask for
 
 
 class DynamicalFreeEnergy:
@@ -338,34 +338,27 @@ class DynamicalFreeEnergy:
             return complex(out)
         return out
 
-    def table(self, u_max: float, points_per_unit: int = _PPU_CAP, *,
-              checked: bool = False):
-        """Cached spline of f on [0, u_max] for fast bulk evaluation.
+    def table(self, u_max: float, points_per_unit: int = _PPU_DEFAULT):
+        """Cached spline of f on [0, u_max], with f also evaluated directly
+        at its knot midpoints (`_CheckedTable`).
 
         Resolution is fixed per unit time, so a wider cached table serves
         any narrower request of equal or lower density. Concurrent callers
-        build each table once.
-
-        With `checked=True` the table also evaluates f directly at its knot
-        midpoints and returns a `_CheckedTable`, whose `interpolation_bound`
-        sizes the table against an error budget (`moments_quadrature` with
-        `rtol`). A density above `_PPU_START` is built from the table at
-        half of it: the checked midpoints become the new knots, so f is never
-        evaluated twice at one point. Checked and plain tables are cached
-        side by side and never serve each other.
+        build each table once. A density above `_PPU_START` is built from
+        the table at half of it, whose midpoints become the new knots: f is
+        never evaluated twice at one point, and the default table evaluates
+        it at 4096 points per unit time.
         """
         with self._tables_lock:
-            return self._table(u_max, points_per_unit, checked)
+            return self._table(u_max, points_per_unit)
 
-    def _table(self, u_max: float, points_per_unit: int, checked: bool):
-        for (cached_umax, cached_ppu, cached_checked), tab \
-                in self._tables.items():
-            if cached_checked == checked \
-                    and cached_umax >= u_max * (1 - 1e-12) \
+    def _table(self, u_max: float, points_per_unit: int):
+        for (cached_umax, cached_ppu), tab in self._tables.items():
+            if cached_umax >= u_max * (1 - 1e-12) \
                     and cached_ppu >= 0.9 * points_per_unit:
                 return tab
-        if checked and points_per_unit > _PPU_START:
-            half = self._table(u_max, points_per_unit // 2, True)
+        if points_per_unit > _PPU_START:
+            half = self._table(u_max, points_per_unit // 2)
             u_max = float(half.knots[-1])
             knots = _interleave(half.knots, half.midpoints)
             values = _interleave(half.values, half.mid_values)
@@ -373,16 +366,16 @@ class DynamicalFreeEnergy:
             n = max(129, int(math.ceil(points_per_unit * u_max)) + 1)
             knots = np.linspace(0.0, u_max, n)
             values = self._eval_many(knots)
-        tab = CubicSpline(knots, values)
-        if checked:
-            midpoints = 0.5 * (knots[:-1] + knots[1:])
-            mid_values = self._eval_many(midpoints)
-            re_f = values.real
-            tab = _CheckedTable(
-                tab, knots, values, midpoints, mid_values,
-                np.abs(tab(midpoints) - mid_values),
-                np.minimum(np.minimum(re_f[:-1], re_f[1:]), mid_values.real))
-        self._tables[(u_max, points_per_unit, checked)] = tab
+        spline = CubicSpline(knots, values)
+        midpoints = 0.5 * (knots[:-1] + knots[1:])
+        mid_values = self._eval_many(midpoints)
+        re_f = values.real
+        deviation = np.abs(spline(midpoints) - mid_values)
+        tab = _CheckedTable(
+            spline, knots, values, midpoints, mid_values,
+            deviation * deviation * np.diff(knots),
+            np.minimum(np.minimum(re_f[:-1], re_f[1:]), mid_values.real))
+        self._tables[(u_max, points_per_unit)] = tab
         return tab
 
 
@@ -395,29 +388,34 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _CheckedTable(NamedTuple):
-    """An f-table with f also evaluated at its knot midpoints."""
+    """An f-table with f also evaluated at its knot midpoints; calling it
+    evaluates its spline."""
     spline: CubicSpline
     knots: np.ndarray
     values: np.ndarray       # f at the knots
     midpoints: np.ndarray
     mid_values: np.ndarray   # f at the midpoints, evaluated directly
-    deviation: np.ndarray    # |spline - f| at each midpoint
+    weight: np.ndarray       # delta_k^2 ds_k: midpoint deviation^2 * width
     re_min: np.ndarray       # least Re f at each interval's knots and midpoint
 
-    def interpolation_bound(self, sites: float, t: float) -> float:
-        """max over lags s in [0, t] of sites |S(s) - f(s)| e^{-sites Re f(s)}.
+    def __call__(self, x):
+        return self.spline(x)
 
-        To first order in S - f this bounds t times every entry change of
-        the Gram kernel exp(-sites f)/t when the spline S replaces f, so it
-        bounds the kernel's operator-norm change; as the kernel is positive
-        semidefinite with unit trace, alpha times it bounds the change of
-        tr K^alpha. Each interval is represented by its midpoint, where a
-        cubic spline's error peaks, and by the least Re f of its knots and
-        midpoint.
-        """
-        use = self.knots[:-1] < t
-        return float(np.max(sites * self.deviation[use]
-                            * np.exp(-sites * self.re_min[use])))
+    def interpolation_bound(self, sites: float, t: float) -> float:
+        """F = (sites/t) sqrt(2 sum_k (t - s_k) ds_k delta_k^2
+        e^{-2 sites re_min_k}) over the intervals [s_k, s_k + ds_k], s_k < t.
+
+        To first order, replacing f by the spline S changes the Gram kernel
+        exp(-sites f(tau - tau'))/t on [0, t] by a matrix of squared
+        Frobenius norm (2/t^2) int_0^t (t - s) sites^2 |S - f|^2
+        e^{-2 sites Re f} ds; F bounds that with each interval's midpoint
+        deviation delta_k (where a cubic spline's error peaks) and least
+        Re f. The kernel K is positive semidefinite, so alpha tr K^(alpha-1) F
+        bounds the change of tr K^alpha."""
+        k = int(np.searchsorted(self.knots, t))   # intervals with s_k < t
+        decay = np.exp(self.re_min[:k] * (-2.0 * sites))
+        lag_sum = np.dot((t - self.knots[:k]) * self.weight[:k], decay)
+        return sites / t * math.sqrt(2.0 * float(lag_sum))
 
 
 def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
@@ -519,14 +517,17 @@ def _window_spectrum(gram, edges, counts, density=None, cap: int = _M_CAP,
         coarse, coarse_purity, counts = kernel, purity, 2 * counts
 
 
-def _power_trace(kernel: np.ndarray, purity: float, alpha: int) -> float:
-    """tr R^alpha (alpha = 2, 3, 4) of the real symmetric R = `kernel`, with
-    `purity` = tr R^2 given: sum R o R^2 for alpha = 3 and ||R^2||_F^2 for
-    alpha = 4, one matrix product."""
+def _power_traces(kernel: np.ndarray, purity: float, alpha: int):
+    """(tr R^alpha, tr R^(alpha-1)) for alpha = 2, 3, 4 of the real
+    symmetric R = `kernel` of unit trace, with `purity` = tr R^2 given:
+    tr R^3 is sum R o R^2 and tr R^4 is ||R^2||_F^2, one matrix product."""
     if alpha == 2:
-        return purity
+        return purity, 1.0
     square = kernel @ kernel
-    return float(np.vdot(kernel if alpha == 3 else square, square))
+    cube = float(np.vdot(kernel, square))
+    if alpha == 3:
+        return cube, purity
+    return float(np.vdot(square, square)), cube
 
 
 @functools.lru_cache(maxsize=4)   # a window needs two: p and p/2
@@ -622,24 +623,22 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     needs the conjugation. The moment sum_i lambda_i^alpha is the power
     trace tr R^alpha, with no eigensolve: the purity itself for alpha = 2,
     sum R o R^2 for alpha = 3 and ||R^2||_F^2 for alpha = 4
-    (`_power_trace`). m starts at 32 and doubles until it reaches
+    (`_power_traces`). m starts at 32 and doubles until it reaches
     sqrt(L^d e2) t, with e2 read off the curvature 2 Re S(h)/h^2 of the
     table's spline S at h = 1e-3 t, so f is read only through the first
     table the moment is solved on. From there `_window_spectrum` doubles
     the kernels at m and 2m nodes until their Frobenius purities agree to
-    the settle tolerance, or 2048 nodes are reached. `error` is the change
-    of the moment from the last m/2 to m plus a round-off floor of 1e-12
-    relative.
-
-    Without `rtol`, f comes from the 4096-points-per-unit table
-    `f.table(t)` and the settle tolerance is 1e-11. With `rtol`, the table
-    is sized by an error budget of rtol * value / 10: it starts at 256
-    points per unit (at least 129 knots) and doubles, up to 4096, while
-    alpha * `_CheckedTable.interpolation_bound` exceeds the budget; that
-    term is added to `error`. The settle tolerance is max(1e-11, 1e-6 rtol)
-    relative plus the table's interpolation bound: purity changes below
-    the spline's own error are not resolved. Raises AccuracyError if `rtol`
-    is given and not met.
+    the settle tolerance plus a floor of 2F, the spline's own error in the
+    purity, or 2048 nodes are reached; F is the table's Frobenius bound
+    (`_CheckedTable.interpolation_bound`). `error` is the change of the
+    moment from the last m/2 to m, plus the interpolation term
+    alpha tr K^(alpha-1) F (tr K = 1), plus a round-off floor of 1e-12
+    relative. Without `rtol` there is no target: f comes from the
+    2048-per-unit table `f.table(t)` and the settle tolerance is 1e-11.
+    With `rtol` the table starts at 256 points per unit (at least 129
+    knots) and doubles, up to 4096, while the interpolation term exceeds
+    rtol * value / 10; the settle tolerance is max(1e-11, 1e-6 rtol).
+    Raises AccuracyError if `rtol` is given and not met.
 
     `scheme` must be "auto", "grid" or "mc"; it, `seed`, `n_gl` and
     `n_samples` are accepted for compatibility and change nothing.
@@ -652,38 +651,36 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
         raise DomainError(f"unknown scheme {scheme!r}")
     sites = float(L) ** d
     if rtol is None:
-        spline, settle, bound = f.table(t), _SETTLE, 0.0
+        ppu, settle, budget = _PPU_DEFAULT, _SETTLE, math.inf
     else:
-        ppu = _PPU_START
-        tab = f.table(t, ppu, checked=True)
-        spline, settle = tab.spline, max(_SETTLE, 1e-6 * rtol)
-        bound = tab.interpolation_bound(sites, t)
+        ppu, settle, budget = _PPU_START, max(_SETTLE, 1e-6 * rtol), 0.1 * rtol
+    tab = f.table(t, ppu)
     h = 1e-3 * t    # e2 from the curvature of Re f at the origin
-    e2 = max(2.0 * float(spline(h).real) / (h * h), 1e-12)
+    e2 = max(2.0 * float(tab(h).real) / (h * h), 1e-12)
     width = math.sqrt(sites * e2) * t
     m = _M_START
     while m < width and 2 * m < _M_CAP:
         m *= 2
 
-    def moment(spline, floor: float):
-        win = _window_spectrum(_nystrom_gram(spline, sites, t),
+    def moment(tab, bound: float):
+        win = _window_spectrum(_nystrom_gram(tab, sites, t),
                                np.array([0.0, t]), [2 * m],
-                               settle=settle, floor=floor)
-        value = _power_trace(win.kernel, win.purity, alpha)
-        prev = _power_trace(win.coarse, win.coarse_purity, alpha)
-        return value, abs(value - prev)
+                               settle=settle, floor=2.0 * bound)
+        value, lower = _power_traces(win.kernel, win.purity, alpha)
+        prev, _ = _power_traces(win.coarse, win.coarse_purity, alpha)
+        return value, abs(value - prev), alpha * lower
 
-    value, err = moment(spline, bound)
-    if rtol is not None:
-        solved = tab
-        while alpha * bound > 0.1 * rtol * value and ppu < _PPU_CAP:
-            ppu *= 2
-            tab = f.table(t, ppu, checked=True)
-            bound = tab.interpolation_bound(sites, t)
-        if tab is not solved:
-            value, err = moment(tab.spline, bound)
+    bound = tab.interpolation_bound(sites, t)
+    value, err, scale = moment(tab, bound)
+    solved = tab
+    while scale * bound > budget * value and ppu < _PPU_CAP:
+        ppu *= 2
+        tab = f.table(t, ppu)
+        bound = tab.interpolation_bound(sites, t)
+    if tab is not solved:
+        value, err, scale = moment(tab, bound)
     value = min(value, 1.0)
-    err += _ROUNDOFF * value + alpha * bound
+    err += _ROUNDOFF * value + scale * bound
     if rtol is not None and err > rtol * abs(value):
         raise AccuracyError(
             f"moment accuracy {err / max(abs(value), 1e-300):.2e} "

@@ -317,7 +317,10 @@ class TestFormatsAndErrors:
          "[schedule] eps0"),
         ("ed", ED_SMALL + "t = 1.0\n[projection]\nT = 0.0\n",
          "[projection] T"),
+        ("ed", ED_SMALL + "t = 1.0\n[projection]\nT = inf\n",
+         "[projection] T"),
         ("ed", ED_SMALL + "t = -1.0 1.0\n", "[grid] t"),
+        ("ed", ED_SMALL + "t = 1.0 inf\n", "[grid] t"),
         ("ed", ED_SMALL + "t =\n", "[grid] t"),
         ("distribution", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
          "[window]\nt = 1.0\n[grid]\npoints = -2\n", "[grid] points"),
@@ -358,7 +361,8 @@ class TestFormatsAndErrors:
          "t = 1.0\n", "[system]"),
         ("ed", "[system]\nmodel = chaotic\nL = 4\nJ = inf\n[grid]\n"
          "t = 1.0\n", "[system]"),
-    ], ids=["ed-points", "rate", "eps0", "T", "ed-t", "ed-no-t",
+    ], ids=["ed-points", "rate", "eps0", "T", "T-inf", "ed-t", "ed-t-inf",
+            "ed-no-t",
             "distribution-points",
             "asymptotics-t", "distribution-t", "rank-t", "rank-delta_t",
             "ising-t", "ising-rtol", "ising-rtol-nan", "ising-alpha",
