@@ -85,8 +85,8 @@ _SCAN = 2048   # intervals of the density scan that brackets level crossings
 class CumulantSeries:
     """Per-site energy cumulants e_1..e_n plus the lattice geometry.
 
-    The second cumulant (energy variance per site) must be positive; it is
-    the only physical input of the leading-order formulas.
+    The cumulants must be finite and the second (energy variance per site)
+    positive; it is the only physical input of the leading-order formulas.
     """
 
     e: tuple[float, ...]
@@ -97,6 +97,8 @@ class CumulantSeries:
         object.__setattr__(self, "e", tuple(float(v) for v in self.e))
         if len(self.e) < 2:
             raise DomainError("need at least cumulants e1, e2")
+        if not all(map(math.isfinite, self.e)):
+            raise DomainError(f"cumulants must be finite, got {self.e}")
         if self.e[1] <= 0:
             raise DomainError(f"e2 must be positive, got {self.e[1]}")
         if self.L < 1 or self.d < 1:
@@ -133,8 +135,9 @@ class WeightFunction:
     breakpoints: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("window width t must be positive")
+        if not 0.0 < self.t < math.inf:   # NaN fails too
+            raise DomainError(f"window width t = {self.t} must be positive "
+                              "and finite")
         if self.kind not in ("uniform", "tabulated", "closure"):
             raise DomainError(f"unknown weight kind {self.kind!r}")
         norm = adaptive_simpson(self.density, 0.0, self.t, tol=1e-12,
@@ -155,10 +158,10 @@ class WeightFunction:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise DomainError("times and values must be equal-length 1-D")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        if times[0] != 0.0 or not np.all(np.diff(times) > 0):
             raise DomainError("times must start at 0 and increase strictly")
-        if np.any(values < 0):
-            raise DomainError("density values must be nonnegative")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise DomainError("density values must be finite and nonnegative")
         if normalize:
             area = np.trapezoid(values, times)
             if area <= 0:
@@ -219,8 +222,9 @@ class RankQuery:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.t <= 0:
-            raise DomainError("window width t must be positive")
+        if not 0.0 < self.t < math.inf:   # NaN fails too
+            raise DomainError(f"window width t = {self.t} must be positive "
+                              "and finite")
 
 
 class RankSolution(NamedTuple):

@@ -190,7 +190,8 @@ def cmd_asymptotics(cfg, out: Path, fmt: str) -> None:
         raise ConfigError("[grid] L must be sorted ascending")
     t_list = _require_positive(_require_sorted(
         _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
-    alphas = _get_floats(cfg, "grid", "alpha", required=True)
+    alphas = _require_positive(_get_floats(cfg, "grid", "alpha",
+                                           required=True), "[grid] alpha")
     eps = _get_float(cfg, "rank", "epsilon", required=True)
 
     rows = []

@@ -1,20 +1,21 @@
 """Exact diagonalization of small spin-1/2 chains.
 
 Builds Hamiltonians from weighted Pauli strings as one sparse matrix.
-`ground_state` takes the two lowest levels from sparse Lanczos and the
-(H, psi0) route of `energy_cumulants` uses sparse matrix-vector products.
-The energy levels E_n and overlaps c_n that the protocols read come from
-one of two routes, both a `SpectralDecomposition`:
-`krylov_decomposition` runs Lanczos from psi0 on the sparse H and keeps
-the K Ritz levels (K of order (E_max - E_min) t_max / 2, well below N =
-2^L) that reproduce Psi_s for |s| <= t_max to a stated bound; it feeds
-`qspan ed` and `rank_curve` by default. `spectral_decomposition`
-densifies H and diagonalizes it fully (real arithmetic when the matrix is
-real), exact at every time, and stays as the oracle. A decomposition
-records the largest |s| it holds for (`horizon`, infinite for the dense
-route) and its error there (`error`); every function that evolves a
-state raises DomainError past the horizon. Below, N counts the levels of
-the decomposition in use: 2^L for the dense route, K for the Krylov one.
+`ground_state` takes the two lowest levels from sparse Lanczos; the
+(H, psi0) route of `energy_cumulants` and `cumulant_density` read moments
+off the vectors (H - <H>)^j psi0 from sparse matrix-vector products. The
+energy levels E_n and overlaps c_n that the protocols read come from one
+of two routes, both a `SpectralDecomposition`: `krylov_decomposition`
+runs Lanczos from psi0 on the sparse H and keeps the K Ritz levels (K of
+order (E_max - E_min) t_max / 2, well below N = 2^L) that reproduce Psi_s
+for |s| <= t_max to a stated bound; it feeds `qspan ed` and `rank_curve`
+by default. `spectral_decomposition` densifies H and diagonalizes it
+fully (real arithmetic when the matrix is real), exact at every time, and
+stays as the oracle. A decomposition records the largest |s| it holds
+for (`horizon`, infinite for the dense route) and its error there
+(`error`); every function that evolves a state raises DomainError past
+the horizon. Below, N counts the levels of the decomposition in use: 2^L
+for the dense route, K for the Krylov one.
 
 On top of that the module implements the finite-size protocols: the
 time-averaged state
@@ -820,32 +821,24 @@ def projection_error(sd: SpectralDecomposition, T: float, eps_T: float,
 # Energy cumulants
 # ---------------------------------------------------------------------------
 
-def _energy_moments(sd_or_pair, n_max: int) -> tuple[np.ndarray, int]:
-    """Raw moments <H^k>, k = 0..n_max, and the chain length."""
-    if isinstance(sd_or_pair, SpectralDecomposition):
-        sd = sd_or_pair
-        weights = np.abs(sd.overlaps) ** 2
-        scale = float(np.abs(sd.energies).max()) if sd.dim > 1 else 1.0
-        if scale ** n_max > 1e280:
-            raise DomainError("moment overflow: n_max too large for this "
-                              "spectral radius")
-        moments = np.array([float(weights @ sd.energies ** k)
-                            for k in range(n_max + 1)])
-        return moments, sd.L
-    spec, psi0 = sd_or_pair
-    h = _as_operator(spec)
-    l_sites = int(round(math.log2(h.shape[0])))
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    moments = np.empty(n_max + 1)
-    vec = psi.copy()
-    moments[0] = 1.0
-    for k in range(1, n_max + 1):
-        vec = h @ vec
-        moments[k] = float(np.real(np.vdot(psi, vec)))
-        if abs(moments[k]) > 1e280:
-            raise DomainError("moment overflow: n_max too large")
-    return moments, l_sites
+def _centered_powers(h, psi: np.ndarray, k_max: int):
+    """The mean m = <psi|H|psi>, the rows v_j = (H - m)^j psi, j <= k_max, of
+    sparse matrix-vector products, and the central moments <(H - m)^k> =
+    <v_floor(k/2)|v_ceil(k/2)>, k <= 2 k_max (the first 0 by the choice of
+    m). Raw powers of H would lose about three digits at the sixth."""
+    hpsi = h @ psi
+    mean = float(np.vdot(psi, hpsi).real)
+    vecs = np.empty((k_max + 1, psi.size), dtype=complex)
+    vecs[0] = psi
+    for j in range(1, k_max + 1):
+        vecs[j] = (hpsi if j == 1 else h @ vecs[j - 1]) - mean * vecs[j - 1]
+    gram = (vecs.conj() @ vecs.T).real
+    if not gram.diagonal().max() < 1e280:   # NaN fails too
+        raise DomainError("moment overflow: order too large for this "
+                          "spectral radius")
+    mu = np.array([gram[k // 2, (k + 1) // 2] for k in range(2 * k_max + 1)])
+    mu[1:2] = 0.0
+    return mean, vecs, mu
 
 
 def _cumulants_from_moments(moments: np.ndarray) -> np.ndarray:
@@ -863,36 +856,53 @@ def _cumulants_from_moments(moments: np.ndarray) -> np.ndarray:
 def energy_cumulants(sd_or_pair, n_max: int) -> np.ndarray:
     """Per-site energy cumulants e_1..e_{n_max} of the initial state.
 
-    Accepts a SpectralDecomposition or an (H, psi0) pair; the latter uses
-    iterated products of the sparse H with a vector and neither densifies
-    nor diagonalizes H.
+    Accepts a SpectralDecomposition, whose raw moments sum over its levels,
+    or an (H, psi0) pair, whose moments about <H> come from sparse
+    matrix-vector products: that route neither densifies nor diagonalizes H.
     """
     if not 1 <= n_max <= 8:
         raise DomainError("n_max must lie in [1, 8]")
-    moments, l_sites = _energy_moments(sd_or_pair, n_max)
-    kappa = _cumulants_from_moments(moments)
+    if isinstance(sd_or_pair, SpectralDecomposition):
+        sd = sd_or_pair
+        weights = np.abs(sd.overlaps) ** 2
+        scale = float(np.abs(sd.energies).max()) if sd.dim > 1 else 1.0
+        if scale ** n_max > 1e280:
+            raise DomainError("moment overflow: n_max too large for this "
+                              "spectral radius")
+        moments = np.array([float(weights @ sd.energies ** k)
+                            for k in range(n_max + 1)])
+        shift, l_sites = 0.0, sd.L
+    else:
+        h = _as_operator(sd_or_pair[0])
+        shift, _, moments = _centered_powers(
+            h, _unit_state(sd_or_pair[1]), (n_max + 1) // 2)
+        l_sites = int(round(math.log2(h.shape[0])))
+    kappa = _cumulants_from_moments(moments[:n_max + 1])
+    kappa[1] += shift
     return kappa[1:] / l_sites
+
+
+def _cumulant_operators(h: np.ndarray, psi: np.ndarray,
+                        n_max: int) -> list[np.ndarray]:
+    """The dense H^(1..n_max) of `cumulant_operator`'s recursion, from one
+    pass over the powers H, H^2, ..., H^n_max."""
+    power, moments, ops = h, [1.0], []
+    for m in range(1, n_max + 1):
+        power = h if m == 1 else h @ power
+        moments.append(float(np.vdot(psi, power @ psi).real))
+        op = power.copy()
+        for j in range(1, m):
+            op -= math.comb(m, j) * moments[m - j] * ops[j - 1]
+        ops.append(op)
+    return ops
 
 
 def cumulant_operator(spec, psi0: np.ndarray, n: int) -> np.ndarray:
     """n-th operator of the recursion H^(n) = H^n - sum_j C(n,j) <H^{n-j}>
     H^(j), whose expectations resum to the cumulant generating function."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    h = _as_matrix(spec)
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    powers = [np.eye(h.shape[0], dtype=complex)]
-    for _ in range(n):
-        powers.append(h @ powers[-1])
-    moments = [float(np.real(np.vdot(psi, p @ psi))) for p in powers]
-    ops = {1: powers[1]}
-    for m in range(2, n + 1):
-        acc = powers[m].copy()
-        for j in range(1, m):
-            acc -= math.comb(m, j) * moments[m - j] * ops[j]
-        ops[m] = acc
-    return ops[n]
+    if not 1 <= n <= 8:
+        raise DomainError("n must lie in [1, 8]")
+    return _cumulant_operators(_as_matrix(spec), _unit_state(psi0), n)[-1]
 
 
 def energy_cumulants_operator_route(spec, psi0: np.ndarray,
@@ -901,20 +911,17 @@ def energy_cumulants_operator_route(spec, psi0: np.ndarray,
 
     The expectations generate G(b) = 1 - exp(-K(b)) with K the cumulant
     generating function, so the cumulants follow from the series of
-    -log(1 - G). Independent cross-check of `energy_cumulants`.
+    -log(1 - G). Independent cross-check of `energy_cumulants`: the
+    operators are dense, built from dense powers of H.
     """
     if not 1 <= n_max <= 8:
         raise DomainError("n_max must lie in [1, 8]")
     h = _as_matrix(spec)
     l_sites = int(round(math.log2(h.shape[0])))
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    g_coeff = np.zeros(n_max + 1)  # G(b) = sum g_n b^n / n!
-    for n in range(1, n_max + 1):
-        op = cumulant_operator(h, psi, n)
-        g_coeff[n] = float(np.real(np.vdot(psi, op @ psi)))
-    a = np.array([g_coeff[n] / math.factorial(n)
-                  for n in range(n_max + 1)])  # series coefficients of G
+    psi = _unit_state(psi0)
+    a = np.zeros(n_max + 1)  # series coefficients of G, <H^(n)> / n!
+    for n, op in enumerate(_cumulant_operators(h, psi, n_max), start=1):
+        a[n] = float(np.vdot(psi, op @ psi).real) / math.factorial(n)
     k = np.zeros(n_max + 1)  # series coefficients of K = -log(1 - G)
     for m in range(0, n_max):
         acc = (m + 1) * a[m + 1]
@@ -940,37 +947,29 @@ def _density_terms(spec: PauliHamiltonian) -> dict[int, list]:
 
 
 def cumulant_density(spec: PauliHamiltonian, psi0: np.ndarray, site: int,
-                     n: int, sd: SpectralDecomposition | None = None) -> float:
+                     n: int) -> float:
     """Spatial density of the n-th energy cumulant about one site.
 
-    Computed exactly as the (n-1)-th derivative at b = 0 of the energy
-    density expectation in the imaginary-time-evolved state
-    e^{b H/2}|Psi_0>/norm, carried out in the energy eigenbasis; the
-    densities sum to L e_n.
+    The (n-1)-th derivative at b = 0 of <h_site> in the state
+    e^{bH/2}|Psi_0>/norm, h_site the terms grouped on the site; the
+    densities sum to L e_n. The k-th derivatives of <e^{bH/2} h_site
+    e^{bH/2}> and of the norm <e^{bH}> are 2^-k sum_j C(k, j)
+    <H^j Psi_0|h_site|H^{k-j} Psi_0> and <H^k>, taken with H - <H> for H
+    (the shift cancels in the ratio) from products of the sparse H and
+    h_site with a vector: H is neither densified nor diagonalized.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if n > 6:
-        raise DomainError("densities implemented for n <= 6")
+    if not 1 <= n <= 8:
+        raise DomainError("n must lie in [1, 8]")
     if not 0 <= site < spec.L:
         raise DomainError(f"site {site} outside chain")
-    groups = _density_terms(spec)
-    h_ell = _pauli_sum(spec.L, groups[site]).toarray()
-    if sd is None:
-        sd = spectral_decomposition(spec, psi0)
-    h_rot = sd.basis.conj().T @ h_ell @ sd.basis
-    weight = np.outer(sd.overlaps.conj(), sd.overlaps) * h_rot
-    if n == 1:
-        return float(np.real(weight.sum()))
-    s_grid = 0.5 * (sd.energies[:, None] + sd.energies[None, :])
-    numer = np.empty(n)          # derivatives of <e^{bH/2} h e^{bH/2}>
+    h_site = _pauli_sum(spec.L, _density_terms(spec)[site])
+    _, vecs, denom = _centered_powers(_sparse_hamiltonian(spec),
+                                      _unit_state(psi0), n - 1)
+    pair = vecs.conj() @ (h_site @ vecs.T)   # <v_a|h_site|v_b>
+    ratio = np.empty(n)          # b-derivatives of <h_site> at 0
     for k in range(n):
-        numer[k] = float(np.real(np.sum(weight * s_grid ** k)))
-    denom = np.array([float((np.abs(sd.overlaps) ** 2) @ sd.energies ** k)
-                      for k in range(n)])
-    ratio = np.empty(n)          # derivatives of numer/denom at 0
-    for k in range(n):
-        acc = numer[k]
+        acc = 2.0 ** -k * sum(math.comb(k, j) * pair[j, k - j].real
+                              for j in range(k + 1))
         for j in range(k):
             acc -= math.comb(k, j) * ratio[j] * denom[k - j]
         ratio[k] = acc

@@ -156,8 +156,12 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     Panels hitting `max_depth` contribute their Richardson residual to a
     global error budget instead of aborting, so integrable square-root
     kinks converge; the call fails only if the accumulated residual exceeds
-    the requested tolerance.
+    the requested tolerance. A non-finite endpoint or integrand value
+    raises DomainError at once: its error estimate would never settle.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"adaptive_simpson needs finite endpoints, got "
+                          f"[{a}, {b}]")
     if b <= a:
         if b == a:
             return 0.0
@@ -184,8 +188,15 @@ def _simpson_segment(f, a, b, tol, max_depth):
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
+    def value(x):
+        y = f(x)
+        if not math.isfinite(y):
+            raise DomainError(f"adaptive_simpson: integrand is {y} at "
+                              f"x = {x!r}")
+        return y
+
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
+    fa, fm, fb = value(a), value(m), value(b)
     stack = [(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)]
     total = 0.0
     residual = 0.0
@@ -194,7 +205,7 @@ def _simpson_segment(f, a, b, tol, max_depth):
         xm = 0.5 * (x0 + x2)
         lm = 0.5 * (x0 + xm)
         rm = 0.5 * (xm + x2)
-        flm, frm = f(lm), f(rm)
+        flm, frm = value(lm), value(rm)
         left = simpson(x0, xm, f0, flm, f1)
         right = simpson(xm, x2, f1, frm, f2)
         err = abs(left + right - whole)

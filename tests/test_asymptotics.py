@@ -60,6 +60,12 @@ class TestCumulantSeries:
         with pytest.raises(DomainError):
             CumulantSeries(e=(0.0, 1.0), L=0)
 
+    @pytest.mark.parametrize("e", [(0.0, math.nan), (0.0, math.inf),
+                                   (math.nan, 1.0), (0.0, 1.0, -math.inf)])
+    def test_rejects_non_finite_cumulants(self, e):
+        with pytest.raises(DomainError, match="finite"):
+            CumulantSeries(e=e, L=10)
+
     def test_omega(self):
         cs = CumulantSeries(e=(0.0, 2.0 * math.pi), L=9, d=2)
         assert cs.omega == pytest.approx(9.0, rel=1e-14)  # L^{d/2}
@@ -274,6 +280,11 @@ class TestRankSystem:
         with pytest.raises(DomainError):
             rank_timesliced(CS, 1.0, 2.0, 0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_window(self, t):
+        with pytest.raises(DomainError, match="positive and finite"):
+            RankQuery(epsilon=0.1, t=t)
+
 
 class TestMandelstamTamm:
     def test_unit_case(self):
@@ -389,6 +400,32 @@ class TestWeighted:
         assert w.kind == "tabulated"
         assert w.breakpoints == (0.5,)
         assert w.sup == pytest.approx(4.0 / 3.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: WeightFunction.uniform(math.nan),
+        lambda: WeightFunction.uniform(math.inf),
+        lambda: WeightFunction.uniform(0.0),
+        lambda: WeightFunction.from_callable(math.inf, lambda tau: 0.0),
+    ], ids=["uniform-nan", "uniform-inf", "uniform-zero", "callable-inf"])
+    def test_weight_rejects_bad_window(self, make):
+        with pytest.raises(DomainError, match="positive and finite"):
+            make()
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: WeightFunction.from_table([0.0, 1.0], [1.0, math.nan]),
+         "finite and nonnegative"),
+        (lambda: WeightFunction.from_table([0.0, 1.0], [1.0, math.inf],
+                                           normalize=False),
+         "finite and nonnegative"),
+        (lambda: WeightFunction.from_table([0.0, math.nan, 1.0],
+                                           [1.0, 1.0, 1.0]),
+         "increase strictly"),
+        (lambda: WeightFunction.from_callable(1.0, lambda tau: math.nan),
+         "integrand is nan"),
+    ], ids=["table-nan", "table-inf", "table-nan-time", "callable-nan"])
+    def test_weight_rejects_non_finite_density(self, make, match):
+        with pytest.raises(DomainError, match=match):
+            make()
 
 
 # Independent oracles for the weighted closed forms: each weight comes with

@@ -361,6 +361,17 @@ class TestFormatsAndErrors:
          "t = 1.0\n", "[system]"),
         ("ed", "[system]\nmodel = chaotic\nL = 4\nJ = inf\n[grid]\n"
          "t = 1.0\n", "[system]"),
+        ("asymptotics", "[cumulants]\ne2 = nan\n[grid]\nL = 100\n"
+         "t = 1.0\nalpha = 2\n[rank]\nepsilon = 0.1\n", "[cumulants]"),
+        ("rank", "[cumulants]\ne2 = inf\n[system]\nL = 100\n"
+         "[window]\nt = 1.0\n[sweep]\nepsilon = 0.1\n", "[cumulants]"),
+        ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
+         "t = 1.0\nalpha = nan\n[rank]\nepsilon = 0.1\n", "[grid] alpha"),
+        ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
+         "t = 1.0\nalpha = 2 inf\n[rank]\nepsilon = 0.1\n",
+         "[grid] alpha"),
+        ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
+         "t = 1.0\nalpha = 0\n[rank]\nepsilon = 0.1\n", "[grid] alpha"),
     ], ids=["ed-points", "rate", "eps0", "T", "T-inf", "ed-t", "ed-t-inf",
             "ed-no-t",
             "distribution-points",
@@ -369,7 +380,9 @@ class TestFormatsAndErrors:
             "ising-L", "ising-L-nan", "ising-J-nan", "ising-h_f-nan",
             "ising-h_i-nan", "ising-scheme", "ising-scheme-no-quench",
             "ed-integrable-J-nan", "ed-integrable-J-inf", "ed-chaotic-J-nan",
-            "ed-chaotic-J-inf"])
+            "ed-chaotic-J-inf", "asymptotics-e2-nan", "rank-e2-inf",
+            "asymptotics-alpha-nan", "asymptotics-alpha-inf",
+            "asymptotics-alpha-zero"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"

@@ -114,6 +114,27 @@ def assert_matches_dense(spec, vec, e_dense, v_dense):
     assert np.array_equal(ground_state(spec), vec)
 
 
+def eigenbasis_densities(spec, psi, site, n_max, sd):
+    """Cumulant densities n = 1..n_max of one site from the full eigenbasis:
+    h_site rotated into it, the b-derivatives of <e^{bH/2} h_site e^{bH/2}>
+    summed over level pairs at the mean energy (E_m + E_n)/2 and those of
+    the norm over levels, then the ratio recursion."""
+    h_site = ed_module._pauli_sum(
+        spec.L, ed_module._density_terms(spec)[site]).toarray()
+    weight = (np.outer(sd.overlaps.conj(), sd.overlaps)
+              * (sd.basis.conj().T @ h_site @ sd.basis))
+    s_grid = 0.5 * (sd.energies[:, None] + sd.energies[None, :])
+    numer = [float(np.real(np.sum(weight * s_grid ** k)))
+             for k in range(n_max)]
+    denom = [float((np.abs(sd.overlaps) ** 2) @ sd.energies ** k)
+             for k in range(n_max)]
+    ratio = np.empty(n_max)
+    for k in range(n_max):
+        ratio[k] = numer[k] - sum(math.comb(k, j) * ratio[j] * denom[k - j]
+                                  for j in range(k))
+    return ratio
+
+
 class TestBuild:
     def test_single_site_z(self):
         h = build_hamiltonian(PauliHamiltonian(L=1, terms=((1.0, ((0, "Z"),)),)))
@@ -883,6 +904,52 @@ class TestEnergyCumulants:
         with pytest.raises(DomainError):
             energy_cumulants((spec, polarized_state(2)), 9)
 
+    def test_pair_route_is_shift_invariant(self):
+        # moments about the mean: a constant added to H moves e1 only, where
+        # raw moments of H + 50 would lose about ten digits at n = 6
+        spec = random_chain(4, seed=41)
+        psi = random_state(16, 42)
+        h = build_hamiltonian(spec)
+        base = energy_cumulants((h, psi), 6)
+        shifted = energy_cumulants((h + 50.0 * np.eye(16), psi), 6)
+        assert shifted[0] == pytest.approx(base[0] + 12.5, rel=1e-14)
+        assert np.all(np.abs(shifted[1:] - base[1:])
+                      <= 1e-12 * np.maximum(1.0, np.abs(base[1:])))
+
+    def test_operator_route_builds_the_recursion_once(self, monkeypatch):
+        calls = []
+        build = ed_module._cumulant_operators
+
+        def spy(h, psi, n_max):
+            calls.append(n_max)
+            return build(h, psi, n_max)
+
+        monkeypatch.setattr(ed_module, "_cumulant_operators", spy)
+        spec = random_chain(3, seed=62)
+        psi = random_state(8, 63)
+        via_ops = energy_cumulants_operator_route(spec, psi, 8)
+        assert calls == [8]
+        direct = energy_cumulants((spec, psi), 8)
+        assert np.all(np.abs(via_ops - direct)
+                      <= 1e-8 * np.maximum(1.0, np.abs(direct)))
+
+    def test_operator_order_domain(self):
+        spec, psi = random_chain(2, seed=1), polarized_state(2)
+        assert cumulant_operator(spec, psi, 8).shape == (4, 4)
+        for n in (0, 9):
+            with pytest.raises(DomainError, match=r"\[1, 8\]"):
+                cumulant_operator(spec, psi, n)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, psi: energy_cumulants((spec, psi), 2),
+        lambda spec, psi: cumulant_operator(spec, psi, 2),
+        lambda spec, psi: energy_cumulants_operator_route(spec, psi, 2),
+        lambda spec, psi: cumulant_density(spec, psi, 0, 2),
+    ], ids=["pair-route", "operator", "operator-route", "density"])
+    def test_rejects_unnormalized_state(self, call):
+        with pytest.raises(DomainError, match="norm"):
+            call(random_chain(2, seed=1), 2.0 * polarized_state(2))
+
 
 class TestCumulantDensity:
     def test_sum_rule(self):
@@ -891,15 +958,13 @@ class TestCumulantDensity:
         sd = spectral_decomposition(spec, psi)
         e = energy_cumulants(sd, 4)
         for n in (1, 2, 3, 4):
-            total = sum(cumulant_density(spec, psi, l, n, sd=sd)
-                        for l in range(4))
+            total = sum(cumulant_density(spec, psi, l, n) for l in range(4))
             assert total == pytest.approx(4 * e[n - 1], abs=1e-8)
 
     def test_translation_invariance(self):
         spec = integrable_chain(4)
         psi = polarized_state(4)
-        sd = spectral_decomposition(spec, psi)
-        dens = [cumulant_density(spec, psi, l, 2, sd=sd) for l in range(4)]
+        dens = [cumulant_density(spec, psi, l, 2) for l in range(4)]
         assert max(dens) - min(dens) < 1e-10
 
     def test_staggered_field_profile(self):
@@ -908,13 +973,10 @@ class TestCumulantDensity:
         # z-polarized start shows the period-2 alternation at n = 1
         spec = chaotic_chain(6)
         psi = ground_state(chaotic_initial_chain(6))
-        sd = spectral_decomposition(spec, psi)
-        dens = [cumulant_density(spec, psi, l, 2, sd=sd) for l in range(6)]
+        dens = [cumulant_density(spec, psi, l, 2) for l in range(6)]
         assert max(dens) - min(dens) < 1e-10
         psi_z = polarized_state(6)
-        sd_z = spectral_decomposition(spec, psi_z)
-        dens_z = [cumulant_density(spec, psi_z, l, 1, sd=sd_z)
-                  for l in range(6)]
+        dens_z = [cumulant_density(spec, psi_z, l, 1) for l in range(6)]
         assert np.allclose(dens_z[0::2], dens_z[0], atol=1e-12)
         assert np.allclose(dens_z[1::2], dens_z[1], atol=1e-12)
         assert abs(dens_z[0] - dens_z[1]) == pytest.approx(0.6, abs=1e-10)
@@ -929,6 +991,66 @@ class TestCumulantDensity:
             L=4, terms=((1.0, ((0, "X"), (1, "X"), (2, "X"))),))
         with pytest.raises(DomainError):
             cumulant_density(spec, polarized_state(4), 0, 2)
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    @pytest.mark.parametrize("system", ["random-periodic", "random-open",
+                                        "chaotic-ground", "integrable-x",
+                                        "chaotic-open-y"])
+    def test_matches_eigenbasis_oracle(self, L, system):
+        spec, psi = {
+            "random-periodic": lambda: (
+                random_chain(L, seed=80 + L, boundary="periodic"),
+                random_state(2 ** L, 90 + L)),
+            "random-open": lambda: (random_chain(L, seed=100 + L),
+                                    random_state(2 ** L, 110 + L)),
+            "chaotic-ground": lambda: (
+                chaotic_chain(L), ground_state(chaotic_initial_chain(L))),
+            "integrable-x": lambda: (integrable_chain(L),
+                                     polarized_state(L, "x")),
+            "chaotic-open-y": lambda: (chaotic_chain(L, boundary="open"),
+                                       polarized_state(L, "y")),
+        }[system]()
+        sd = spectral_decomposition(spec, psi)
+        for site in range(L):
+            want = eigenbasis_densities(spec, psi, site, 6, sd)
+            got = [cumulant_density(spec, psi, site, n) for n in range(1, 7)]
+            # 1e-13 or better everywhere but chaotic-ground at L = 4, n = 6,
+            # where the eigenbasis sum itself is 1.3e-12 off a 60-digit
+            # evaluation of the same derivative and the matrix-vector route
+            # 1.85e-13 at most
+            assert np.all(np.abs(np.array(got) - want)
+                          <= 2e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_sum_rule_at_l12_to_eighth_order(self, chaotic_12):
+        spec, psi = chaotic_12["spec"], chaotic_12["psi0"]
+        e = energy_cumulants((spec, psi), 8)
+        for n in range(1, 9):
+            total = sum(cumulant_density(spec, psi, l, n) for l in range(12))
+            assert abs(total - 12 * e[n - 1]) <= 1e-12 * max(
+                1.0, abs(12 * e[n - 1]))
+
+    def test_never_diagonalizes_or_densifies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        spec = chaotic_chain(8)
+        psi = ground_state(chaotic_initial_chain(8))
+        for owner, name in ((ed_module, "spectral_decomposition"),
+                            (ed_module, "build_hamiltonian"),
+                            (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                            (scipy.linalg, "eigh"),
+                            (scipy.sparse.csr_matrix, "toarray")):
+            monkeypatch.setattr(owner, name, refuse)
+        for n in range(1, 9):
+            cumulant_density(spec, psi, 3, n)
+
+    def test_order_domain(self):
+        spec, psi = integrable_chain(4), polarized_state(4, "x")
+        for n in (7, 8):
+            assert math.isfinite(cumulant_density(spec, psi, 0, n))
+        for n in (0, 9):
+            with pytest.raises(DomainError, match=r"\[1, 8\]"):
+                cumulant_density(spec, psi, 0, n)
 
 
 class TestOverlapAmplitude:

@@ -194,3 +194,23 @@ class TestAdaptiveSimpson:
         val = adaptive_simpson(lambda x: math.sqrt(abs(x - 0.3)), 0, 1)
         exact = (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5
         assert val == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises_at_first_value(self, value):
+        # a NaN error estimate never settles: without the check the rule
+        # subdivides every panel to max_depth
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return value if x > 0.6 else 1.0
+
+        with pytest.raises(DomainError, match="integrand"):
+            adaptive_simpson(f, 0.0, 1.0)
+        assert len(calls) == 3       # a, the midpoint, b
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0),
+                                      (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_endpoint_raises(self, a, b):
+        with pytest.raises(DomainError, match="endpoints"):
+            adaptive_simpson(lambda x: 1.0, a, b)
