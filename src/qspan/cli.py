@@ -124,6 +124,12 @@ def _require_positive(values, what):
     return values
 
 
+def _require_fraction(values, what):
+    if not all(0.0 < v < 1.0 for v in values):   # NaN fails too
+        raise ConfigError(f"{what} must lie in (0, 1)")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Deterministic table writing
 # ---------------------------------------------------------------------------
@@ -192,7 +198,8 @@ def cmd_asymptotics(cfg, out: Path, fmt: str) -> None:
         _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
     alphas = _require_positive(_get_floats(cfg, "grid", "alpha",
                                            required=True), "[grid] alpha")
-    eps = _get_float(cfg, "rank", "epsilon", required=True)
+    eps = _require_fraction([_get_float(cfg, "rank", "epsilon",
+                                        required=True)], "[rank] epsilon")[0]
 
     rows = []
     for L in l_list:
@@ -227,8 +234,7 @@ def cmd_distribution(cfg, out: Path, fmt: str) -> None:
     cs = _cumulant_series(cfg, L)
     x_min = _get_float(cfg, "grid", "x_min", default=1e-6)
     n_pts = _get_int(cfg, "grid", "points", default=200)
-    if not 0.0 < x_min < 1.0:
-        raise ConfigError("[grid] x_min must lie in (0, 1)")
+    _require_fraction([x_min], "[grid] x_min")
     if n_pts < 1:
         raise ConfigError("[grid] points must be at least 1")
     xs = np.exp(np.linspace(math.log(x_min), math.log(1.0 - 1e-9), n_pts))
@@ -249,8 +255,9 @@ def cmd_rank(cfg, out: Path, fmt: str) -> None:
     L = _get_int(cfg, "system", "L", required=True)
     t = _window_t(cfg)
     cs = _cumulant_series(cfg, L)
-    eps_list = _require_sorted(_get_floats(cfg, "sweep", "epsilon",
-                                           required=True), "[sweep] epsilon")
+    eps_list = _require_fraction(_require_sorted(
+        _get_floats(cfg, "sweep", "epsilon", required=True),
+        "[sweep] epsilon"), "[sweep] epsilon")
     delta_t = _get_float(cfg, "sweep", "delta_t", default=None)
     if delta_t is not None:
         _require_positive([delta_t], "[sweep] delta_t")
@@ -403,9 +410,8 @@ def cmd_ed(cfg, out: Path, fmt: str) -> None:
         _get_floats(cfg, "grid", "t", required=True), "[grid] t"), "[grid] t")
     if not times:
         raise ConfigError("[grid] t must list at least one time")
-    eps0 = _get_float(cfg, "schedule", "eps0", default=0.15)
-    if not 0.0 < eps0 < 1.0:
-        raise ConfigError("[schedule] eps0 must lie in (0, 1)")
+    eps0 = _require_fraction([_get_float(cfg, "schedule", "eps0",
+                                         default=0.15)], "[schedule] eps0")[0]
     rate = _get_float(cfg, "schedule", "rate", default=100.0)
     if not rate >= 0.0:
         raise ConfigError("[schedule] rate must not be negative")

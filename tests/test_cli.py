@@ -372,6 +372,11 @@ class TestFormatsAndErrors:
          "[grid] alpha"),
         ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
          "t = 1.0\nalpha = 0\n[rank]\nepsilon = 0.1\n", "[grid] alpha"),
+        ("asymptotics", "[cumulants]\ne2 = 1.0\n[grid]\nL = 100\n"
+         "t = 1.0\nalpha = 2\n[rank]\nepsilon = 1.5\n", "[rank] epsilon"),
+        ("rank", "[cumulants]\ne2 = 1.0\n[system]\nL = 100\n"
+         "[window]\nt = 1.0\n[sweep]\nepsilon = 0.1 1.5\n",
+         "[sweep] epsilon"),
     ], ids=["ed-points", "rate", "eps0", "T", "T-inf", "ed-t", "ed-t-inf",
             "ed-no-t",
             "distribution-points",
@@ -382,7 +387,8 @@ class TestFormatsAndErrors:
             "ed-integrable-J-nan", "ed-integrable-J-inf", "ed-chaotic-J-nan",
             "ed-chaotic-J-inf", "asymptotics-e2-nan", "rank-e2-inf",
             "asymptotics-alpha-nan", "asymptotics-alpha-inf",
-            "asymptotics-alpha-zero"])
+            "asymptotics-alpha-zero", "asymptotics-epsilon",
+            "rank-epsilon"])
     def test_out_of_range_numbers_name_their_field(self, tmp_path, capsys,
                                                    verb, body, where):
         cfg = tmp_path / "bad.cfg"
