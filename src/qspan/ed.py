@@ -26,19 +26,18 @@ its eigenvalue spectrum with low-probability truncation, the error made by
 projecting the evolving state onto the retained subspace, and the energy
 cumulants per site together with their spatial densities.
 
-The nonzero spectrum of rho_bar is that of the snapshot matrix
+`averaged_state` takes one of two routes, chosen before any work. A
+uniform window on at most max(128, m) levels (m below; every Krylov
+measure of `qspan ed`) diagonalizes the exact N x N energy-basis matrix
+c_m conj(c_n) e^{-i(E_m-E_n)t0} (e^{-iDt} - 1)/(-iDt), D = E_m - E_n.
+Every other window uses the snapshot matrix
 Psi_{ni} = c_n e^{-i E_n (t0 + tau_i)} sqrt(omega_i) on m Gauss-Legendre
-nodes tau_i of the window (weights omega_i with the density folded in):
-the window core `overlap._window_spectrum` builds the smaller Gram side
-(Psi^dag Psi or Psi Psi^dag) and settles m by the rule it shares with
-`overlap.moments_quadrature`, on the purity read as the Gram matrix's
-squared Frobenius norm, with nothing factorized. Only the settled window is
-factorized, once: `eigvalsh` of its Gram matrix for the eigenvalues alone,
-or a thin SVD of Psi, whose squared singular values are the eigenvalues,
-when eigenvectors are wanted. When a uniform window needs m >= N nodes,
-the N x N energy-basis matrix c_m conj(c_n) e^{-i(E_m-E_n)t0}
-(e^{-iDt} - 1)/(-iDt), D = E_m - E_n, is diagonalized instead; that form
-is exact at any t and its memory does not grow with t.
+nodes tau_i (weights omega_i with the density folded in), whose nonzero
+spectrum is that of rho_bar: the window core `overlap._window_spectrum`
+builds the smaller Gram side (Psi^dag Psi or Psi Psi^dag) and settles m by
+the rule it shares with `overlap.moments_quadrature`, on the purity read
+as the Gram matrix's squared Frobenius norm. Only the settled window is
+factorized, once.
 
 Site s of basis state |j> is bit L-1-s of j (site 0 the most significant,
 as in P_0 x P_1 x ...). A Pauli string with X or Y on the sites of
@@ -379,8 +378,10 @@ class SpectralDecomposition:
 
 
 def _check_horizon(sd: SpectralDecomposition, t, what: str) -> None:
-    """DomainError when a time reaches past the decomposition's horizon."""
+    """DomainError when a time is not finite or lies past the horizon."""
     reach = float(np.max(np.abs(t)))
+    if not math.isfinite(reach):
+        raise DomainError(f"{what} time {reach} is not finite")
     if reach > sd.horizon:
         raise DomainError(f"{what} reaches s = {reach:g}, beyond the horizon "
                           f"{sd.horizon:g} of the decomposition")
@@ -541,6 +542,7 @@ def first_overlap_crossing(sd: SpectralDecomposition, threshold: float = 0.5,
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold {threshold} outside (0, 1)")
+    _check_horizon(sd, t_max, "crossing search")
     ts = np.linspace(0.0, t_max, n_grid + 1)
     amp = return_amplitude(sd, ts)
     below = np.nonzero(amp < threshold)[0]
@@ -586,7 +588,8 @@ class AveragedStateSpectrum:
 
 
 _PANEL_MIN = 8       # fewest snapshots of a weighted-window panel
-_WEIGHTED_CAP = 8    # weighted windows stop doubling beyond this many N
+_WINDOW_CAP = 8      # a snapshot window stops doubling beyond this many N
+_CLOSED_DIM = 128    # uniform windows up to this many N take the closed form
 
 
 def _closed_form(sd: SpectralDecomposition, t0: float, t: float,
@@ -624,50 +627,51 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
                    want_vectors: bool = False) -> AveragedStateSpectrum:
     """Spectrum of the state averaged over [t0, t0 + t].
 
-    `w = None` means the uniform window. The spectrum is that of the
-    snapshot Gram matrix on m Gauss-Legendre nodes (composite panels split
-    at `w.breakpoints` for a weighted window), taken from the window core
-    `overlap._window_spectrum`: m starts at max(32, (E_max - E_min) t / 2)
-    and doubles until the purity at m/2 and at m, each read as the squared
-    Frobenius norm of its Gram matrix, agrees to 1e-11 relative.
-    A uniform window that needs m >= N nodes, before the first solve or
-    when the doubling reaches N, uses the exact N x N closed form instead,
-    the only path whose memory does not grow with t; a weighted one that
-    has not settled by 8 N nodes raises AccuracyError.
+    `w = None` means the uniform window. The route is chosen once, with
+    m = max(32, (E_max - E_min) t / 2): a uniform window on
+    N <= max(128, m) levels (every Krylov measure of `qspan ed`) takes the
+    exact N x N closed form, whose memory does not grow with t. Every
+    other window takes the snapshot Gram matrix on m Gauss-Legendre nodes
+    (panels split at `w.breakpoints`) from `overlap._window_spectrum`,
+    doubling m until the Frobenius purities at m/2 and m agree to 1e-11
+    relative; one unsettled by 8 N nodes raises AccuracyError.
 
     Eigenvalues are returned descending and padded with zeros to N, the
     number of levels of `sd`, with values in [-1e-12, 0) clamped to zero;
     eigenvectors (energy-basis columns, same order) are attached on
-    request. The settled window is factorized once: `eigvalsh` of its Gram
-    matrix, or with vectors a thin SVD of the snapshot matrix alone, whose
-    left singular vectors are orthonormal by construction and whose squared
-    singular values are the eigenvalues. A window reaching past
-    `sd.horizon` on either side raises DomainError.
+    request. A settled snapshot window is factorized once: `eigvalsh` of
+    its Gram matrix, or with vectors a thin SVD of the snapshot matrix
+    alone, whose left singular vectors are orthonormal by construction and
+    whose squared singular values are the eigenvalues. A window reaching
+    past `sd.horizon` on either side, or not finite, raises DomainError.
     """
     if t <= 0:
         raise DomainError("window width t must be positive")
     _check_horizon(sd, [t0, t0 + t], "window")
-    if w is None:
-        edges = np.array([0.0, t])
-    else:
-        if abs(w.t - t) > 1e-12 * max(t, 1.0):
-            raise DomainError("weight window differs from requested t")
-        edges = np.unique(np.clip([0.0, *w.breakpoints, t], 0.0, t))
-    dim = sd.dim
-    width = float(sd.energies[-1] - sd.energies[0])
+    if w is not None and abs(w.t - t) > 1e-12 * max(t, 1.0):
+        raise DomainError("weight window differs from requested t")
+    dim, width = sd.dim, float(sd.energies[-1] - sd.energies[0])
     m = max(_M_START, math.ceil(width * t / 2.0))
-    counts = np.maximum(_PANEL_MIN, np.ceil(m * np.diff(edges) / t))
+    if w is None and dim <= max(_CLOSED_DIM, m):
+        vals, vecs = _closed_form(sd, t0, t, want_vectors)
+        nodes = 0
+    else:
+        edges = np.array([0.0, t]) if w is None else \
+            np.unique(np.clip([0.0, *w.breakpoints, t], 0.0, t))
+        counts = np.maximum(_PANEL_MIN, np.ceil(m * np.diff(edges) / t))
 
-    def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        psi = _snapshots(sd, t0, tau, omega)   # the smaller Gram side
-        return psi.conj().T @ psi if tau.size < dim else psi @ psi.conj().T
+        def gram(tau: np.ndarray, omega: np.ndarray) -> np.ndarray:
+            psi = _snapshots(sd, t0, tau, omega)   # the smaller Gram side
+            return psi.conj().T @ psi if tau.size < dim else psi @ psi.conj().T
 
-    spec = None
-    if w is not None or counts.sum() < dim:
         spec = _window_spectrum(gram, edges, counts,
                                 None if w is None else w._sample,
-                                dim - 1 if w is None else _WEIGHTED_CAP * dim)
-    if spec is not None and spec.settled:
+                                _WINDOW_CAP * dim)
+        if not spec.settled:
+            change = abs(spec.purity - spec.coarse_purity)
+            raise AccuracyError(f"averaged-state purity changed by "
+                                f"{change:.2e} from {spec.tau.size // 2} to "
+                                f"{spec.tau.size} nodes", achieved=change)
         nodes = spec.tau.size
         if want_vectors:
             vecs, sigma, _ = np.linalg.svd(
@@ -675,14 +679,6 @@ def averaged_state(sd: SpectralDecomposition, t0: float, t: float,
             vals = sigma ** 2
         else:
             vals, vecs = np.linalg.eigvalsh(spec.kernel)[::-1], None
-    elif w is None:
-        vals, vecs = _closed_form(sd, t0, t, want_vectors)
-        nodes = 0
-    else:
-        change = abs(spec.purity - spec.coarse_purity)
-        raise AccuracyError(
-            f"averaged-state purity changed by {change:.2e} from "
-            f"{spec.tau.size // 2} to {spec.tau.size} nodes", achieved=change)
     vals = np.where((vals < 0) & (vals > -1e-12), 0.0, vals)
     vals = np.concatenate([vals, np.zeros(dim - vals.size)])
     total = float(vals.sum())
@@ -785,16 +781,16 @@ def projection_error(sd: SpectralDecomposition, T: float, eps_T: float,
     """Error of projecting |Psi_t> onto the retained subspace of the
     [0, T] average: 1 - <Psi_t| P |Psi_t>.
 
-    P spans the D leading eigenvectors of `averaged_state(sd, 0, T)`, which
-    for T below the closed-form threshold are the left singular vectors of
-    the snapshot matrix. `spec` may carry a precomputed spectrum with
-    vectors of that average to avoid repeating the solve. T must lie
-    within `sd.horizon`.
+    P spans the D leading eigenvectors of `averaged_state(sd, 0, T)`:
+    those of the closed form, or on a large dense decomposition the left
+    singular vectors of the snapshot matrix. `spec` may carry a
+    precomputed spectrum with vectors of that average to avoid repeating
+    the solve. T must be finite and lie within `sd.horizon`.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < -1e-12) or np.any(ts > T * (1 + 1e-12)):
-        raise DomainError("projection times must lie in [0, T]")
     _check_horizon(sd, T, "projection window")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((ts >= -1e-12) & (ts <= T * (1 + 1e-12))):
+        raise DomainError("projection times must lie in [0, T]")
     if spec is None or spec.vectors is None:
         spec = averaged_state(sd, 0.0, T, want_vectors=True)
     rank = effective_rank(spec, eps_T)

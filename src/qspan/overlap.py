@@ -469,20 +469,19 @@ def second_cumulant_from_f(f: DynamicalFreeEnergy, h0: float = 0.1,
 
     Central second differences (exploiting f(0) = 0 and the conjugation
     symmetry) at the steps h0 2^-i, all evaluated in one call of f, with
-    Richardson extrapolation in the step size.
+    Richardson extrapolation in the step size; the last two diagonal
+    entries of the tableau must agree.
     """
-    table = np.empty((levels, levels))
+    if not (0.0 < h0 < math.inf and levels >= 2):
+        raise DomainError(f"h0 = {h0} must be positive and finite and "
+                          f"levels = {levels} at least 2")
     h = h0 * 0.5 ** np.arange(levels)
-    table[:, 0] = 2.0 * f(h).real / (h * h)
-    for i in range(levels):
-        fac = 1.0
-        for j in range(1, i + 1):
-            fac *= 4.0
-            table[i, j] = (fac * table[i, j - 1] - table[i - 1, j - 1]) \
-                / (fac - 1.0)
-    best = table[levels - 1, levels - 1]
-    prev = table[levels - 2, levels - 2]
-    if abs(best - prev) > 1e-6 * max(abs(best), 1e-12) + 1e-10:
+    col = 2.0 * f(h).real / (h * h)   # Richardson column j: rows j..levels-1
+    for j in range(1, levels):
+        prev, fac = col[0], 4.0 ** j
+        col = (fac * col[1:] - col[:-1]) / (fac - 1.0)
+    best = col[0]
+    if not abs(best - prev) <= 1e-6 * max(abs(best), 1e-12) + 1e-10:
         raise AccuracyError("second-derivative extrapolation did not settle",
                             value=best, achieved=abs(best - prev))
     return float(best)
@@ -683,15 +682,18 @@ def moments_quadrature(f: DynamicalFreeEnergy, L: int, d: int, t: float,
     With `rtol` the table starts at 256 points per unit (at least 129
     knots) and doubles, up to 4096, while the interpolation term exceeds
     rtol * value / 10; the settle tolerance is max(1e-11, 1e-6 rtol).
-    Raises AccuracyError if `rtol` is given and not met.
+    Raises DomainError unless t and `rtol` lie in (0, inf) and L, d >= 1,
+    and AccuracyError if `rtol` is given and not met.
 
     `scheme` must be "auto", "grid" or "mc"; it, `seed`, `n_gl` and
     `n_samples` are accepted for compatibility and change nothing.
     """
     if alpha not in (2, 3, 4):
         raise DomainError("alpha must be one of 2, 3, 4")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not (0.0 < t < math.inf and L >= 1 and d >= 1) or not (
+            rtol is None or 0.0 < rtol < math.inf):
+        raise DomainError(f"need t, rtol in (0, inf) and L, d >= 1; got "
+                          f"t = {t}, L = {L}, d = {d}, rtol = {rtol}")
     if scheme not in ("auto", "grid", "mc"):
         raise DomainError(f"unknown scheme {scheme!r}")
     sites = float(L) ** d

@@ -505,6 +505,15 @@ class TestSnapshotPath:
         oracle = np.linalg.eigvalsh(rho)[::-1]
         assert np.abs(spec_w.eigenvalues - oracle).max() < 1e-6
 
+    def test_unsettled_uniform_window_raises(self, snapshot_system,
+                                             monkeypatch):
+        # above the closed-form bound a uniform window takes the snapshot
+        # route, with the weighted windows' cap and unsettled-window error
+        assert snapshot_system.dim > ed_module._CLOSED_DIM
+        monkeypatch.setattr(ed_module, "_WINDOW_CAP", 0)
+        with pytest.raises(AccuracyError, match="purity changed"):
+            averaged_state(snapshot_system, 0.0, 3.81)
+
     def test_undeclared_kink_raises(self):
         # Gauss-Legendre converges only algebraically across a kink, so a
         # kinked closure must declare its breakpoints
@@ -552,6 +561,7 @@ def assert_same_observables(sdk, sdd, times, proj_times):
     for t in times:
         kry = averaged_state(sdk, 0.0, t)
         den = averaged_state(sdd, 0.0, t)
+        assert kry.nodes == 0        # the closed form, no snapshots
         assert kry.eigenvalues.size == sdk.dim
         pad = np.pad(kry.eigenvalues, (0, sdd.dim - sdk.dim))
         assert np.abs(pad - den.eigenvalues).max() <= 1e-12
@@ -559,7 +569,9 @@ def assert_same_observables(sdk, sdd, times, proj_times):
         assert effective_rank(kry, eps).D == effective_rank(den, eps).D
     for T in proj_times:
         ts = np.linspace(0.0, T, 201)
-        kry = projection_error(sdk, T, benchmark_schedule(T), ts)
+        spec_k = averaged_state(sdk, 0.0, T, want_vectors=True)
+        assert spec_k.nodes == 0
+        kry = projection_error(sdk, T, benchmark_schedule(T), ts, spec=spec_k)
         den = projection_error(sdd, T, benchmark_schedule(T), ts)
         assert kry.D == den.D
         for name in ("error", "band_low", "band_high"):
@@ -641,6 +653,29 @@ class TestKrylovDecomposition:
         averaged_state(sd, 0.0, 2.0)           # up to the horizon is fine
         return_amplitude(sd, [-2.0, 2.0])
         with pytest.raises(DomainError, match="horizon"):
+            call(sd)
+
+    @pytest.mark.parametrize("call", [
+        lambda sd: averaged_state(sd, 0.0, math.nan),
+        lambda sd: averaged_state(sd, 0.0, math.inf),
+        lambda sd: averaged_state(sd, math.nan, 1.0),
+        lambda sd: averaged_state(sd, -math.inf, 1.0),
+        lambda sd: projection_error(sd, math.nan, 0.1, [1.0]),
+        lambda sd: projection_error(sd, 1.5, 0.1, [math.nan]),
+        lambda sd: return_amplitude(sd, math.nan),
+        lambda sd: return_amplitude(sd, [0.5, math.inf]),
+        lambda sd: first_overlap_crossing(sd, 0.5, t_max=math.nan),
+    ], ids=["nan-width", "inf-width", "nan-start", "inf-start",
+            "nan-projection", "nan-projection-time", "nan-amplitude",
+            "inf-amplitude", "nan-crossing"])
+    @pytest.mark.parametrize("route", ["dense", "krylov"])
+    def test_non_finite_times_raise(self, call, route):
+        # the dense route's horizon is infinite, and NaN passes every
+        # comparison, so a finiteness check is what stops these
+        spec, psi0 = collapse_system("integrable", "x", 6, "open")
+        sd = spectral_decomposition(spec, psi0) if route == "dense" \
+            else krylov_decomposition(spec, psi0, 2.0)
+        with pytest.raises(DomainError):
             call(sd)
 
     def test_rejects_bad_input(self):

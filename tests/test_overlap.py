@@ -324,6 +324,34 @@ class TestSecondCumulant:
         f = DynamicalFreeEnergy.from_cumulants([0.0, 0.7, 0.0, 0.1])
         assert second_cumulant_from_f(f) == pytest.approx(0.7, abs=1e-8)
 
+    @pytest.mark.parametrize("levels", [3, 5, 7])
+    def test_matches_the_full_richardson_tableau(self, levels):
+        f = DynamicalFreeEnergy.from_cumulants([0.0, 0.7, 0.0, 0.1])
+        h = 0.1 * 0.5 ** np.arange(levels)
+        table = np.zeros((levels, levels))
+        table[:, 0] = 2.0 * f(h).real / (h * h)
+        for i in range(1, levels):
+            for j in range(1, i + 1):
+                fac = 4.0 ** j
+                table[i, j] = (fac * table[i, j - 1]
+                               - table[i - 1, j - 1]) / (fac - 1.0)
+        assert second_cumulant_from_f(f, levels=levels) == table[-1, -1]
+
+    @pytest.mark.parametrize("h0, levels", [
+        (math.nan, 5), (math.inf, 5), (0.0, 5), (-0.1, 5), (0.1, 1),
+        (0.1, 0)])
+    def test_out_of_domain_step_or_levels_raises(self, h0, levels):
+        f = DynamicalFreeEnergy.from_cumulants([0.0, 1.7])
+        with pytest.raises(DomainError):
+            second_cumulant_from_f(f, h0=h0, levels=levels)
+
+    def test_nan_curvature_raises(self):
+        def nan_f(ts):
+            return np.full(np.shape(ts), complex(math.nan))
+
+        with pytest.raises(AccuracyError):
+            second_cumulant_from_f(nan_f)
+
     def test_strong_quench_mode_sum_oracle(self, strong_quench_f):
         # independent route: per-mode variance of the two-level phase
         # distribution, e2 = int dk/2pi eps_k^2 sin^2(Delta_k)
@@ -469,6 +497,20 @@ class TestMomentsQuadrature:
             moments_quadrature(f, 100, 1, 1.0, 5)
         with pytest.raises(DomainError):
             moments_quadrature(f, 100, 1, 1.0, 3, scheme="fancy")
+
+    @pytest.mark.parametrize("quadrature", [moments_quadrature,
+                                            renyi_quadrature])
+    @pytest.mark.parametrize("L, d, t, rtol", [
+        (100, 1, math.nan, None), (100, 1, math.inf, None),
+        (100, 1, 0.0, None), (100, 1, -1.0, None),
+        (-5, 1, 1.0, None), (0, 1, 1.0, None), (math.nan, 1, 1.0, None),
+        (100, 0, 1.0, None), (100, -1, 1.0, None),
+        (100, 1, 1.0, math.nan), (100, 1, 1.0, 0.0), (100, 1, 1.0, -1e-6),
+        (100, 1, 1.0, math.inf)])
+    def test_out_of_domain_input_raises(self, quadrature, L, d, t, rtol):
+        f = DynamicalFreeEnergy.from_cumulants([0.0, 1.0])
+        with pytest.raises(DomainError):
+            quadrature(f, L, d, t, 2, rtol=rtol)
 
 
 class TestRealNystromKernel:
